@@ -34,6 +34,7 @@ from .realizer import (
     FOUND,
     Realization,
     SearchResult,
+    WitnessCheckError,
     reduce_projective,
     search,
     verify_witness,

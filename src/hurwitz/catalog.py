@@ -2,10 +2,13 @@
 
 The catalog is a tab-separated text file, one record per line, with a
 ``#`` header naming the columns and the tool version.  Records are
-written in canonical enumeration order; the wall-time column is the only
-non-deterministic field.  A summary footer counts verdicts and
-provenance tags, including the exceptional counts per tag and the number
-of prime-degree exceptional data (reported, never assumed to be zero).
+written sorted by degree, branching count and datum text; the wall-time
+column is the only non-deterministic field.  A summary footer counts
+verdicts and provenance tags, including the exceptional counts per tag
+and the number of prime-degree exceptional data (reported, never
+assumed to be zero).  A resumed run rewrites the whole file, old and new
+records in that order under one footer, so it ends up as an
+uninterrupted run's file.
 """
 
 from __future__ import annotations
@@ -111,6 +114,17 @@ def _load_existing(path: str) -> dict[str, str]:
         return done
 
 
+def _record(cols: list[str]) -> CatalogRecord:
+    return CatalogRecord(
+        parse_datum(cols[0]),
+        cols[1].lower(),
+        cols[2],
+        "" if cols[3] == "-" else cols[3],
+        int(cols[4]),
+        float(cols[5]),
+    )
+
+
 def summary_lines(records: Sequence[CatalogRecord]) -> list[str]:
     verdict_counts: dict[str, int] = {}
     tag_counts: dict[str, int] = {}
@@ -149,13 +163,12 @@ def run_catalog(
     """Classify every compatible datum with 2 <= d <= d_max, n <= n_max.
 
     Writes one record line per datum to out_path (when given); with
-    ``resume`` the file is read first and already-recorded data are
-    skipped.  Canonical processing order plus ordered result collection
-    keep two runs with identical parameters byte-identical except for
-    the wall-time column.
+    ``resume`` the file is read first, already-recorded data are
+    skipped, and the file is rewritten with old and new records.  The
+    sorted record order keeps two runs with identical parameters, resumed
+    or not, byte-identical except for the wall-time column.
     """
     todo: list[str] = []
-    records: list[CatalogRecord] = []
     done: dict[str, str] = {}
     if resume and out_path is not None:
         try:
@@ -175,57 +188,26 @@ def run_catalog(
     else:
         results = [_classify_record(job) for job in jobs]
 
-    fresh = [
-        CatalogRecord(parse_datum(line), kind, tag, witness, nodes, ms)
-        for line, kind, tag, witness, nodes, ms in results
-    ]
-    for raw in done.values():
-        cols = raw.split("\t")
-        records.append(
-            CatalogRecord(
-                parse_datum(cols[0]),
-                cols[1].lower(),
-                cols[2],
-                "" if cols[3] == "-" else cols[3],
-                int(cols[4]),
-                float(cols[5]),
-            )
-        )
-    records.extend(fresh)
-    records.sort(key=lambda r: (r.datum.degree, r.datum.n, format_datum(r.datum)))
+    # datum text -> (record, its file line)
+    rows = {line: (_record(raw.split("\t")), raw) for line, raw in done.items()}
+    for line, kind, tag, witness, nodes, ms in results:
+        raw = "\t".join((line, kind.upper(), tag, witness or "-", str(nodes), f"{ms:.1f}"))
+        rows[line] = (CatalogRecord(parse_datum(line), kind, tag, witness, nodes, ms), raw)
+    order = sorted(rows, key=lambda line: (rows[line][0].datum.degree, rows[line][0].datum.n, line))
+    records = [rows[line][0] for line in order]
 
     if out_path is not None:
-        mode = "a" if (resume and done) else "w"
-        with open(out_path, mode, encoding="utf-8") as fh:
-            if mode == "w":
-                from . import __version__
+        from . import __version__
 
-                fh.write(f"# hurwitz-catalog v{__version__}\n")
-                fh.write("# columns: " + "\t".join(CATALOG_COLUMNS) + "\n")
-            for line, kind, tag, witness, nodes, ms in results:
-                fh.write(
-                    "\t".join(
-                        (line, kind.upper(), tag, witness or "-", str(nodes), f"{ms:.1f}")
-                    )
-                    + "\n"
-                )
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(f"# hurwitz-catalog v{__version__}\n")
+            fh.write("# columns: " + "\t".join(CATALOG_COLUMNS) + "\n")
+            for line in order:
+                fh.write(rows[line][1] + "\n")
             for s in summary_lines(records):
                 fh.write(s + "\n")
     return records
 
 
 def read_catalog(path: str) -> list[CatalogRecord]:
-    out = []
-    for line in _load_existing(path).values():
-        cols = line.split("\t")
-        out.append(
-            CatalogRecord(
-                parse_datum(cols[0]),
-                cols[1].lower(),
-                cols[2],
-                "" if cols[3] == "-" else cols[3],
-                int(cols[4]),
-                float(cols[5]),
-            )
-        )
-    return out
+    return [_record(line.split("\t")) for line in _load_existing(path).values()]

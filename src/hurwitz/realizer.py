@@ -22,6 +22,15 @@ Budgets count visited candidates.  Only a completed walk certifies
 exceptionality; a randomized witness hunt (fixed seed, deterministic)
 runs first whenever the remaining classes are too large to walk
 cheaply, so oversized realizable data still produce witnesses.
+
+Classes are stored once, as a uint8 array with one image row per
+permutation in class_iterator order, built by vectorised numpy and
+cached per cycle type when it takes at most _CACHE_BYTES (16 MiB, that
+is class size times degree bytes).  Orbit reduction selects rows of that
+array, and the last-level scan reads it a chunk at a time; larger
+classes are streamed through class_iterator on every visit.  A witness
+is checked by verify_witness before it is returned, also under
+``python -O``.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ import random
 from dataclasses import dataclass
 from itertools import islice
 from math import prod
+from typing import Iterator
 
 import numpy as np
 
@@ -65,7 +75,7 @@ BUDGET_EXCEEDED = "budget-exceeded"
 DEFAULT_BUDGET = 10**9
 
 _REDUCTION_LIMIT = 200_000  # max class size for centralizer-orbit reduction
-_CACHE_LIMIT = 300_000      # max class size kept as a reusable list
+_CACHE_BYTES = 16 << 20     # max bytes (size x degree) of a cached class table
 _RANDOM_TRIGGER = 20_000    # remaining-space size that switches the hunt on
 _NUMPY_MIN = 20_000         # scan length where the vectorized path pays off
 _CHUNK = 50_000
@@ -90,6 +100,10 @@ class SearchResult:
     status: str
     realization: Realization | None
     nodes: int
+
+
+class WitnessCheckError(RuntimeError):
+    """The search produced a tuple that verify_witness rejects."""
 
 
 class _OutOfBudget(Exception):
@@ -119,63 +133,88 @@ def verify_witness(datum: BranchDatum, realization: Realization) -> bool:
     return got == want
 
 
-_reps_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], list[Perm]] = {}
-_class_cache: dict[tuple[int, ...], list[Perm]] = {}
+class _ClassTable:
+    """A conjugacy class, or a selection of it, as a uint8 array with one
+    image row per permutation, in class_iterator order.  ``len`` counts
+    rows; iteration yields the rows as Perm tuples for the Python walk."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[Perm]:
+        for chunk in _row_chunks(self):
+            yield from map(tuple, chunk.tolist())
 
 
-def _build_class_list(t: tuple[int, ...]) -> list[Perm]:
-    # same enumeration order as class_iterator, minus the generator
-    # machinery; materializing 10^5-element classes is a hot spot
-    from collections import Counter
+_reps_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], _ClassTable] = {}
+_class_cache: dict[tuple[int, ...], _ClassTable] = {}
 
+
+def _build_class_list(t: tuple[int, ...]) -> _ClassTable:
+    return _ClassTable(_class_rows(t))
+
+
+def _class_rows(t: tuple[int, ...]) -> np.ndarray:
+    """Every permutation of cycle type t as uint8 rows, in class_iterator
+    order.
+
+    class_iterator closes a first cycle through point 0 for each length,
+    longest first, and each ordered choice of its other points, and then
+    enumerates the rest of the class on the unused points, which is the
+    class of the remaining type relabelled in increasing order.  So each
+    block (length, choice) is that smaller table conjugated by the
+    relabelling g with g(0) = 0, g(1..ln-1) = the choice and g(ln..) =
+    the unused points in increasing order.
+    """
     d = sum(t)
-    counts = Counter(t)
-    lengths = sorted(counts, reverse=True)
-    images = list(range(d))
-    used = bytearray(d)
-    out: list[Perm] = []
-
-    def rec(remaining: int) -> None:
-        if remaining == 0:
-            out.append(tuple(images))
-            return
-        a = used.index(0)
-        used[a] = 1
-        for ln in lengths:
-            if counts[ln] == 0:
-                continue
-            counts[ln] -= 1
-            if ln == 1:
-                images[a] = a
-                rec(remaining - 1)
-            else:
-                pool = [i for i in range(d) if not used[i]]
-                for rest in itertools.permutations(pool, ln - 1):
-                    prev = a
-                    for x in rest:
-                        images[prev] = x
-                        used[x] = 1
-                        prev = x
-                    images[prev] = a
-                    rec(remaining - ln)
-                    for x in rest:
-                        used[x] = 0
-            counts[ln] += 1
-        used[a] = 0
-
-    rec(d)
+    out = np.empty((class_size(t), d), dtype=np.uint8)
+    if d == 0:
+        return out
+    off = 0
+    for ln in sorted(set(t), reverse=True):
+        rest = list(t)
+        rest.remove(ln)
+        sub = _class_rows(tuple(rest))
+        # one cycle (0 1 .. ln-1) beside the smaller class on ln..d-1
+        e = np.empty((len(sub), d), dtype=np.uint8)
+        e[:, :ln] = np.roll(np.arange(ln, dtype=np.uint8), -1)
+        e[:, ln:] = sub + np.uint8(ln)
+        choices = list(itertools.permutations(range(1, d), ln - 1))
+        a = len(choices)
+        g = np.empty((a, d), dtype=np.uint8)
+        g[:, 0] = 0
+        g[:, 1:ln] = np.array(choices, dtype=np.uint8).reshape(a, ln - 1)
+        free = np.ones((a, d), dtype=bool)
+        free[:, 0] = False
+        free[np.arange(a)[:, None], g[:, 1:ln]] = False
+        g[:, ln:] = np.nonzero(free)[1].reshape(a, d - ln)
+        ginv = np.argsort(g, axis=1).astype(np.uint8)
+        # block[i, s] = g_i o e_s o g_i^-1, looping over the shorter axis
+        block = out[off : off + a * len(sub)].reshape(a, len(sub), d)
+        if a <= len(sub):
+            for i in range(a):
+                block[i] = g[i][e[:, ginv[i]]]
+        else:
+            for k in range(len(sub)):
+                block[:, k] = np.take_along_axis(g, e[k][ginv], axis=1)
+        off += a * len(sub)
     return out
 
 
-def _class_list(t: tuple[int, ...]) -> list[Perm]:
-    lst = _class_cache.get(t)
-    if lst is None:
-        lst = _build_class_list(t)
-        _class_cache[t] = lst
-    return lst
+def _class_table(t: tuple[int, ...]) -> _ClassTable:
+    table = _class_cache.get(t)
+    if table is None:
+        table = _build_class_list(t)
+        _class_cache[t] = table
+    return table
 
 
-def _anchored_reps(anchor: tuple[int, ...], t: tuple[int, ...]) -> list[Perm]:
+def _anchored_reps(anchor: tuple[int, ...], t: tuple[int, ...]) -> _ClassTable:
     """Orbit representatives of class t under conjugation by the
     centralizer of class_representative(anchor): one per orbit, the
     first in canonical class order."""
@@ -184,59 +223,71 @@ def _anchored_reps(anchor: tuple[int, ...], t: tuple[int, ...]) -> list[Perm]:
     if reps is not None:
         return reps
     zgens = centralizer_generators(anchor)
-    cls = _class_list(t)
+    cls = _class_table(t)
     d = sum(t)
     if not zgens:
-        _reps_cache[key] = cls
-        return cls
-    if d <= 15:
-        reps = _orbit_firsts_vectorized(cls, zgens, d)
+        reps = cls
+    elif d <= 15:
+        reps = _ClassTable(cls.rows[_orbit_firsts_vectorized(cls, zgens, d)])
     else:
-        reps = _orbit_firsts_hashed(cls, zgens)
+        reps = _ClassTable(cls.rows[_orbit_firsts_hashed(cls, zgens)])
     _reps_cache[key] = reps
     return reps
 
 
-def _orbit_firsts_vectorized(cls: list[Perm], zgens: list[Perm], d: int) -> list[Perm]:
-    # permutations packed into int64 keys (d^d fits for d <= 15); each
-    # conjugation becomes an index map on the class, and the orbits are
-    # the connected components of those maps
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
+def _orbit_firsts_vectorized(cls: _ClassTable, zgens: list[Perm], d: int) -> list[int]:
+    """Row indices of the first element of each orbit, ascending.
 
-    n = len(cls)
-    arr = np.fromiter(
-        itertools.chain.from_iterable(cls), dtype=np.int64, count=n * d
-    ).reshape(n, d)
-    weights = d ** np.arange(d, dtype=np.int64)
-    keys = arr @ weights
-    order = np.argsort(keys, kind="stable")
+    Rows are packed into int64 keys (d^d fits for d <= 15), so each
+    conjugation becomes an index map on the class.  Every row's label
+    starts as its own index and takes the minimum with the labels of its
+    images under the maps, with pointer jumping, until nothing changes.
+    Each map permutes the rows of an orbit in cycles, so the labels are
+    then constant on orbits, and a row keeps its own index exactly when
+    it is its orbit's first."""
+    rows = cls.rows
+    n = len(rows)
+    keys = _row_keys(rows, d)
+    order = np.argsort(keys)
     sorted_keys = keys[order]
-    conj_keys = np.empty(n * len(zgens), dtype=np.int64)
-    for i, z in enumerate(zgens):
-        z_arr = np.array(z, dtype=np.int64)
-        zinv = np.array(inverse(z), dtype=np.int64)
-        conj_keys[i * n : (i + 1) * n] = z_arr[arr[:, zinv]] @ weights
-    pos = np.searchsorted(sorted_keys, conj_keys)
-    if not (sorted_keys[pos] == conj_keys).all():
-        raise AssertionError("conjugate left its class: centralizer is wrong")
-    cols = order[pos]
-    rows = np.tile(np.arange(n, dtype=np.int64), len(zgens))
-    graph = coo_matrix(
-        (np.ones(n * len(zgens), dtype=np.int8), (rows, cols)), shape=(n, n)
-    )
-    _, labels = connected_components(graph, directed=False)
-    _, firsts = np.unique(labels, return_index=True)
-    return [cls[i] for i in sorted(int(i) for i in firsts)]
+    maps = []
+    for z in zgens:
+        # conjugation permutes the class, so sorting the conjugates' keys
+        # lines them up with sorted_keys
+        z_arr = np.array(z, dtype=np.uint8)
+        conj_keys = _row_keys(z_arr[rows[:, inverse(z)]], d)
+        conj_order = np.argsort(conj_keys)
+        if not np.array_equal(conj_keys[conj_order], sorted_keys):
+            raise RuntimeError("conjugate left its class: centralizer is wrong")
+        m = np.empty(n, dtype=np.intp)
+        m[conj_order] = order
+        maps.append(m)
+    label = np.arange(n)
+    while True:
+        prev = label
+        for m in maps:
+            label = np.minimum(label, label[m])
+        label = label[label]
+        if np.array_equal(label, prev):
+            break
+    return np.flatnonzero(label == np.arange(n)).tolist()
 
 
-def _orbit_firsts_hashed(cls: list[Perm], zgens: list[Perm]) -> list[Perm]:
-    reps = []
+def _row_keys(rows: np.ndarray, d: int) -> np.ndarray:
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for c in range(d - 1, -1, -1):
+        keys *= d
+        keys += rows[:, c]
+    return keys
+
+
+def _orbit_firsts_hashed(cls: _ClassTable, zgens: list[Perm]) -> list[int]:
+    firsts = []
     seen: set[Perm] = set()
-    for sigma in cls:
+    for i, sigma in enumerate(cls):
         if sigma in seen:
             continue
-        reps.append(sigma)
+        firsts.append(i)
         seen.add(sigma)
         frontier = [sigma]
         while frontier:
@@ -248,7 +299,7 @@ def _orbit_firsts_hashed(cls: list[Perm], zgens: list[Perm]) -> list[Perm]:
                         seen.add(c)
                         nxt.append(c)
             frontier = nxt
-    return reps
+    return firsts
 
 
 def _target_fix_counts(t: tuple[int, ...], d: int) -> list[int]:
@@ -326,31 +377,48 @@ def _scan_python(stream, pi, target, parent, budget, gens_for_transitivity, d):
         raise _Witness((*gens_for_transitivity, sigma, inverse(prod_images)))
 
 
-def _scan_numpy(stream, pi, target, parent, budget, gens_for_transitivity, d):
-    pi_arr = np.array(pi, dtype=np.int64)
-    idx = np.arange(d, dtype=np.int64)
-    tfix = _target_fix_counts(target, d)
-    it = iter(stream)
+def _row_chunks(source) -> Iterator[np.ndarray]:
+    """A class table's rows, or a stream of Perm tuples packed into rows,
+    at most _CHUNK at a time.  A table's chunks start small and double,
+    so a scan that stops early touches few rows."""
+    if isinstance(source, _ClassTable):
+        start, size = 0, 16
+        while start < len(source):
+            size = min(size, _CHUNK)
+            yield source.rows[start : start + size]
+            start += size
+            size *= 2
+        return
     while True:
-        chunk = list(islice(it, _CHUNK))
+        chunk = list(islice(source, _CHUNK))
         if not chunk:
             return
-        arr = np.array(chunk, dtype=np.int64)
-        comp = pi_arr[arr]
-        mask = np.ones(len(chunk), dtype=bool)
+        yield np.array(chunk, dtype=np.uint8)
+
+
+def _scan_numpy(source, pi, target, parent, budget, gens_for_transitivity, d):
+    pi_arr = np.array(pi, dtype=np.uint8)
+    idx = np.arange(d, dtype=np.uint8)
+    tfix = _target_fix_counts(target, d)
+    for chunk in _row_chunks(source):
+        # cycle type of pi o sigma from the fixed points of its powers;
+        # rows that fail a power are dropped before the next one
+        comp = pi_arr[chunk]
         cur = comp
+        alive = np.arange(len(chunk))
         for j in range(1, d + 1):
             if j > 1:
                 cur = np.take_along_axis(comp, cur, axis=1)
-            mask &= (cur == idx).sum(axis=1) == tfix[j - 1]
-            if not mask.any():
-                break
+            keep = np.count_nonzero(cur == idx, axis=1) == tfix[j - 1]
+            if not keep.all():
+                alive, comp, cur = alive[keep], comp[keep], cur[keep]
+                if not len(alive):
+                    break
         remaining = budget.limit - budget.nodes
-        for h in np.flatnonzero(mask):
-            h = int(h)
+        for h in alive.tolist():
             if h + 1 > remaining:
                 budget.spend(h + 1)  # raises
-            sigma = chunk[h]
+            sigma = tuple(chunk[h].tolist())
             _, orbit_count = _merge_cycles(parent, sigma)
             if orbit_count != 1:
                 continue
@@ -387,6 +455,8 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
             return SearchResult(FOUND, Realization(d, (rep, inverse(rep))), 1)
         return SearchResult(EXHAUSTED, None, 1)
 
+    if d > 256:
+        raise ValueError("search handles degrees up to 256 (one byte per image)")
     anchor, middle, target = types[0], types[1:-1], types[-1]
     tau1 = class_representative(anchor)
     bud = _Budget(budget)
@@ -397,21 +467,19 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
             attempts = min(40_000, max(2_000, estimate // 50))
             taus = _random_hunt(d, tau1, middle, target, bud, attempts)
             if taus is not None:
-                realization = Realization(d, taus)
-                assert verify_witness(datum, realization)
-                return SearchResult(FOUND, realization, bud.nodes)
+                return SearchResult(FOUND, _checked(datum, taus), bud.nodes)
 
         # candidate plan per enumerated level
-        plan: list[list[Perm] | tuple[int, ...]] = []
+        plan: list[_ClassTable | tuple[int, ...]] = []
         for j, t in enumerate(middle):
             size = class_size(t)
             if j == 0 and size <= _REDUCTION_LIMIT:
                 plan.append(_anchored_reps(anchor, t))
-            elif size <= _CACHE_LIMIT:
-                plan.append(_class_list(t))
+            elif size * d <= _CACHE_BYTES:
+                plan.append(_class_table(t))
             else:
                 plan.append(t)  # re-streamed on each visit
-        first_count = len(plan[0]) if isinstance(plan[0], list) else class_size(middle[0])
+        first_count = len(plan[0]) if isinstance(plan[0], _ClassTable) else class_size(middle[0])
         if first_count > budget - bud.nodes:
             return SearchResult(BUDGET_EXCEEDED, None, bud.nodes)
 
@@ -434,9 +502,11 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
 
         def walk(j: int, pi: Perm, parent: list[int], gens: tuple[Perm, ...]) -> None:
             source = plan[j]
-            stream = iter(source) if isinstance(source, list) else class_iterator(source)
+            if isinstance(source, _ClassTable):
+                stream, size = source, len(source)
+            else:
+                stream, size = class_iterator(source), class_size(source)
             if j == last:
-                size = len(source) if isinstance(source, list) else class_size(source)
                 scan = _scan_numpy if size >= _NUMPY_MIN else _scan_python
                 scan(stream, pi, target, parent, bud, gens, d)
                 return
@@ -456,10 +526,15 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
     except _OutOfBudget:
         return SearchResult(BUDGET_EXCEEDED, None, bud.nodes)
     except _Witness as w:
-        realization = Realization(d, w.taus)
-        assert verify_witness(datum, realization)
-        return SearchResult(FOUND, realization, bud.nodes)
+        return SearchResult(FOUND, _checked(datum, w.taus), bud.nodes)
     return SearchResult(EXHAUSTED, None, bud.nodes)
+
+
+def _checked(datum: BranchDatum, taus: tuple[Perm, ...]) -> Realization:
+    realization = Realization(datum.degree, taus)
+    if not verify_witness(datum, realization):
+        raise WitnessCheckError(f"search produced an invalid witness for {datum}")
+    return realization
 
 
 def _half_splits(p: Partition) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -117,6 +117,22 @@ class TestRunCatalog:
         assert {format_datum(r.datum) for r in finished} == want
         assert {format_datum(r.datum) for r in resumed} == want
 
+    def test_resumed_file_equals_uninterrupted_run(self, tmp_path):
+        full = tmp_path / "full.tsv"
+        part = tmp_path / "part.tsv"
+        run_catalog(5, 3, out_path=str(full))
+        run_catalog(4, 3, out_path=str(part))
+        run_catalog(5, 3, out_path=str(part), resume=True)
+
+        def without_ms(path):
+            return [
+                line if line.startswith("#") else line.rsplit("\t", 1)[0]
+                for line in open(path)
+            ]
+
+        assert without_ms(part) == without_ms(full)
+        assert sum(line.startswith("# total=") for line in open(part)) == 1
+
     def test_corrupt_resume_reports_line(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("# header\ngarbage line without tabs\n")

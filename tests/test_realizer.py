@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
-from hurwitz import enumerate_compatible
+import hurwitz
+from hurwitz import enumerate_compatible, realizer
 from hurwitz.core import (
     PROJECTIVE,
     SPHERE,
@@ -10,13 +16,21 @@ from hurwitz.core import (
     check_compatibility,
     format_datum,
     parse_datum,
+    partitions_of,
 )
-from hurwitz.perms import parse_cycles
+from hurwitz.perms import (
+    centralizer_generators,
+    class_iterator,
+    class_representative,
+    class_size,
+    parse_cycles,
+)
 from hurwitz.realizer import (
     BUDGET_EXCEEDED,
     EXHAUSTED,
     FOUND,
     Realization,
+    WitnessCheckError,
     reduce_projective,
     search,
     verify_witness,
@@ -48,6 +62,13 @@ class TestSearchExamples:
     def test_requires_sphere_base(self):
         datum = parse_datum("d=4 cover=O3 base=O1 parts=[3,1|2,2]")
         with pytest.raises(ValueError):
+            search(datum)
+
+    def test_degree_beyond_one_byte_fails_clearly(self):
+        parts = (Partition((257,)), Partition((256, 1)), Partition((2,) + (1,) * 255))
+        datum = BranchDatum(SPHERE, SPHERE, 257, parts)
+        assert check_compatibility(datum).compatible
+        with pytest.raises(ValueError, match="256"):
             search(datum)
 
     def test_requires_compatible_datum(self):
@@ -199,3 +220,122 @@ class TestReduceProjective:
         bad_cover = BranchDatum(PROJECTIVE, PROJECTIVE, 3, (Partition((3,)),))
         with pytest.raises(ValueError):
             next(reduce_projective(bad_cover))
+
+
+class TestWitnessCheck:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "d=6 cover=O0 base=O0 parts=[3,3|2,2,2|2,2,2]",  # found by the walk
+            "d=7 cover=O0 base=O0 parts=[7|4,1,1,1|2,2,1,1,1|2,1,1,1,1,1]",  # by the hunt
+        ],
+    )
+    def test_rejected_witness_raises_named_error(self, monkeypatch, line):
+        datum = parse_datum(line)
+        assert search(datum).status == FOUND
+        monkeypatch.setattr(realizer, "verify_witness", lambda datum, realization: False)
+        with pytest.raises(WitnessCheckError):
+            search(datum)
+
+
+class TestClassTable:
+    def test_rows_follow_class_iterator(self):
+        types = [p.parts for d in range(1, 10) for p in partitions_of(d)]
+        for t in types + [(3, 3, 3, 3), (4, 2, 2, 2, 2)]:
+            table = realizer._build_class_list(t)
+            assert table.rows.dtype == np.uint8
+            assert len(table) == class_size(t)
+            assert list(table) == list(class_iterator(t)), t
+
+    def test_orbit_firsts_agree_with_hashed_reduction(self):
+        pairs = 0
+        for d in range(2, 8):
+            types = [p.parts for p in partitions_of(d)]
+            for anchor in types:
+                zgens = centralizer_generators(anchor)
+                if not zgens:
+                    continue
+                for t in types:
+                    table = realizer._class_table(t)
+                    firsts = realizer._orbit_firsts_vectorized(table, zgens, d)
+                    assert firsts == realizer._orbit_firsts_hashed(table, zgens), (anchor, t)
+                    pairs += 1
+        assert pairs > 400
+
+
+def _last_level(line):
+    """What search hands the last-level scan of a three-point datum."""
+    datum = parse_datum(line)
+    d = datum.degree
+    anchor, middle, target = sorted(
+        (p.parts for p in datum.partitions), key=lambda t: (class_size(t), t)
+    )
+    tau1 = class_representative(anchor)
+    parent, _ = realizer._merge_cycles(list(range(d)), tau1)
+    return d, tau1, middle, target, parent
+
+
+def _scan_outcome(scan, source, line, limit):
+    d, tau1, _, target, parent = _last_level(line)
+    budget = realizer._Budget(limit)
+    try:
+        scan(source, tau1, target, parent, budget, (tau1,), d)
+    except realizer._Witness as w:
+        return "witness", w.taus, budget.nodes
+    except realizer._OutOfBudget:
+        return "out of budget", None, budget.nodes
+    return "exhausted", None, budget.nodes
+
+
+class TestScans:
+    LINES = [
+        "d=6 cover=O0 base=O0 parts=[3,3|2,2,2|2,2,2]",
+        "d=6 cover=O0 base=O0 parts=[4,2|2,2,2|2,2,2]",
+        "d=8 cover=O0 base=O0 parts=[4,4|3,3,2|2,2,2,1,1]",
+        "d=8 cover=O0 base=O0 parts=[5,3|2,2,2,2|2,2,2,2]",
+        "d=9 cover=O1 base=O0 parts=[5,2,2|3,3,3|3,3,3]",
+    ]
+
+    def outcomes(self, line, limit):
+        t = _last_level(line)[2]
+        table = realizer._build_class_list(t)
+        return [
+            _scan_outcome(realizer._scan_numpy, table, line, limit),
+            _scan_outcome(realizer._scan_numpy, class_iterator(t), line, limit),
+            _scan_outcome(realizer._scan_python, table, line, limit),
+            _scan_outcome(realizer._scan_python, class_iterator(t), line, limit),
+        ]
+
+    @pytest.fixture(autouse=True, params=[7, realizer._CHUNK])
+    def chunk(self, request, monkeypatch):
+        # with 7, every class spans many equal chunks; with the default,
+        # the growing chunks of a table are crossed
+        monkeypatch.setattr(realizer, "_CHUNK", request.param)
+
+    def test_same_witness_and_nodes(self):
+        kinds = set()
+        for line in self.LINES:
+            first, *others = self.outcomes(line, 10**9)
+            assert all(o == first for o in others), line
+            kinds.add(first[0])
+        assert kinds == {"witness", "exhausted"}
+
+    def test_budget_running_out_inside_a_chunk(self):
+        for line in self.LINES:
+            kind, _, nodes = self.outcomes(line, 10**9)[0]
+            for limit in {0, nodes // 2, nodes - 1} - {-1}:
+                got = self.outcomes(line, limit)
+                assert got == [("out of budget", None, limit)] * 4, (line, limit)
+
+
+def test_catalog_does_not_import_scipy():
+    code = (
+        "import sys\n"
+        "from hurwitz.catalog import run_catalog\n"
+        "run_catalog(7, 4)\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(hurwitz.__file__))
+    subprocess.run(
+        [sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src}
+    )
