@@ -14,8 +14,10 @@ uninterrupted run's file.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -28,11 +30,14 @@ from .core import (
     partitions_of,
     check_compatibility,
 )
-from .criteria import DEFAULT_BUDGET, classify
+from .criteria import (
+    DEFAULT_BUDGET, EXCEPTIONAL, INCOMPATIBLE, REALIZABLE, UNKNOWN, classify,
+)
 from .perms import format_cycles
 
 
 CATALOG_COLUMNS = ("datum", "verdict", "tag", "witness", "nodes", "ms")
+_VERDICTS = frozenset((REALIZABLE, EXCEPTIONAL, INCOMPATIBLE, UNKNOWN))
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,8 +74,6 @@ def enumerate_compatible(
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
-    from itertools import combinations_with_replacement
-
     menu = [p for p in partitions_of(d) if not p.is_trivial]
     for n in sorted(set(n_values)):
         if n < 0:
@@ -84,67 +87,58 @@ def enumerate_compatible(
                     yield datum
 
 
-def _classify_record(args: tuple[str, int]) -> tuple[str, str, str, str, int, float]:
-    line, budget = args
-    datum = parse_datum(line)
+def _classify_record(datum: BranchDatum, budget: int) -> CatalogRecord:
     t0 = time.perf_counter()
     verdict = classify(datum, budget)
     ms = (time.perf_counter() - t0) * 1000.0
     witness = ""
     if verdict.witness is not None:
         witness = ";".join(format_cycles(t) for t in verdict.witness.taus)
-    return (line, verdict.kind, verdict.provenance, witness, verdict.nodes, ms)
+    return CatalogRecord(datum, verdict.kind, verdict.provenance, witness, verdict.nodes, ms)
 
 
-def _load_existing(path: str) -> dict[str, str]:
-    done: dict[str, str] = {}
+def _parse_record(raw: str, lineno: int) -> CatalogRecord:
+    """The record of one file line, the inverse of CatalogRecord.line;
+    every column is checked."""
+    cols = raw.split("\t")
+    try:
+        if len(cols) != len(CATALOG_COLUMNS):
+            raise ValueError("wrong column count")
+        text, verdict, tag, witness, nodes, ms = cols
+        kind = verdict.lower()
+        if kind not in _VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}")
+        witness = "" if witness == "-" else witness
+        return CatalogRecord(parse_datum(text), kind, tag, witness, int(nodes), float(ms))
+    except ValueError as exc:
+        raise ValueError(f"corrupt catalog line {lineno}: {exc}") from exc
+
+
+def _load_existing(path: str) -> dict[BranchDatum, CatalogRecord]:
+    done: dict[BranchDatum, CatalogRecord] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.rstrip("\n")
-            if not raw or raw.startswith("#"):
-                continue
-            cols = raw.split("\t")
-            if len(cols) != len(CATALOG_COLUMNS):
-                raise ValueError(f"corrupt catalog line {lineno}: wrong column count")
-            try:
-                parse_datum(cols[0])
-            except ValueError as exc:
-                raise ValueError(f"corrupt catalog line {lineno}: {exc}") from exc
-            done[cols[0]] = raw
-        return done
-
-
-def _record(cols: list[str]) -> CatalogRecord:
-    return CatalogRecord(
-        parse_datum(cols[0]),
-        cols[1].lower(),
-        cols[2],
-        "" if cols[3] == "-" else cols[3],
-        int(cols[4]),
-        float(cols[5]),
-    )
+            if raw and not raw.startswith("#"):
+                record = _parse_record(raw, lineno)
+                done[record.datum] = record
+    return done
 
 
 def summary_lines(records: Sequence[CatalogRecord]) -> list[str]:
-    verdict_counts: dict[str, int] = {}
-    tag_counts: dict[str, int] = {}
-    exc_tag_counts: dict[str, int] = {}
-    prime_exceptional = 0
-    for rec in records:
-        verdict_counts[rec.verdict] = verdict_counts.get(rec.verdict, 0) + 1
-        base_tag = rec.tag.split("+")[0]
-        tag_counts[base_tag] = tag_counts.get(base_tag, 0) + 1
-        if rec.verdict == "exceptional":
-            exc_tag_counts[base_tag] = exc_tag_counts.get(base_tag, 0) + 1
-            d = rec.datum.degree
-            if d >= 2 and all(d % f for f in range(2, d)):
-                prime_exceptional += 1
+    verdict_counts = Counter(rec.verdict for rec in records)
+    tag_counts = Counter(rec.tag.split("+")[0] for rec in records)
+    exceptional = [rec for rec in records if rec.verdict == EXCEPTIONAL]
+    exc_tag_counts = Counter(rec.tag.split("+")[0] for rec in exceptional)
+    prime_exceptional = sum(
+        all(rec.datum.degree % f for f in range(2, rec.datum.degree)) for rec in exceptional
+    )
     lines = [f"# total={len(records)}"]
     for kind in sorted(verdict_counts):
         lines.append(f"# verdict {kind}={verdict_counts[kind]}")
     for tag in sorted(tag_counts):
         lines.append(f"# tag {tag}={tag_counts[tag]}")
-    exc_total = verdict_counts.get("exceptional", 0)
+    exc_total = verdict_counts[EXCEPTIONAL]
     for tag in sorted(exc_tag_counts):
         lines.append(f"# exceptional-coverage {tag}={exc_tag_counts[tag]}/{exc_total}")
     lines.append(f"# prime-degree-exceptional={prime_exceptional}")
@@ -168,33 +162,33 @@ def run_catalog(
     sorted record order keeps two runs with identical parameters, resumed
     or not, byte-identical except for the wall-time column.
     """
-    todo: list[str] = []
-    done: dict[str, str] = {}
+    done: dict[BranchDatum, CatalogRecord] = {}
     if resume and out_path is not None:
         try:
             done = _load_existing(out_path)
         except FileNotFoundError:
-            done = {}
-    for d in range(2, d_max + 1):
-        for datum in enumerate_compatible(d, range(0, n_max + 1), base):
-            line = format_datum(datum)
-            if line not in done:
-                todo.append(line)
-
-    jobs = [(line, budget) for line in todo]
+            pass
+    todo = [
+        datum
+        for d in range(2, d_max + 1)
+        for datum in enumerate_compatible(d, range(0, n_max + 1), base)
+        if datum not in done
+    ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_classify_record, jobs, chunksize=8))
+            fresh = list(pool.map(_classify_record, todo, repeat(budget), chunksize=8))
     else:
-        results = [_classify_record(job) for job in jobs]
+        fresh = [_classify_record(datum, budget) for datum in todo]
 
-    # datum text -> (record, its file line)
-    rows = {line: (_record(raw.split("\t")), raw) for line, raw in done.items()}
-    for line, kind, tag, witness, nodes, ms in results:
-        raw = "\t".join((line, kind.upper(), tag, witness or "-", str(nodes), f"{ms:.1f}"))
-        rows[line] = (CatalogRecord(parse_datum(line), kind, tag, witness, nodes, ms), raw)
-    order = sorted(rows, key=lambda line: (rows[line][0].datum.degree, rows[line][0].datum.n, line))
-    records = [rows[line][0] for line in order]
+    unsorted = [*done.values(), *fresh]
+    lines = [record.line() for record in unsorted]
+    # a line starts with its datum text, and no datum text is a prefix of
+    # another (each ends in its only "]"), so this orders by datum text
+    order = sorted(
+        range(len(unsorted)),
+        key=lambda i: (unsorted[i].datum.degree, unsorted[i].datum.n, lines[i]),
+    )
+    records = [unsorted[i] for i in order]
 
     if out_path is not None:
         from . import __version__
@@ -202,12 +196,12 @@ def run_catalog(
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(f"# hurwitz-catalog v{__version__}\n")
             fh.write("# columns: " + "\t".join(CATALOG_COLUMNS) + "\n")
-            for line in order:
-                fh.write(rows[line][1] + "\n")
+            for i in order:
+                fh.write(lines[i] + "\n")
             for s in summary_lines(records):
                 fh.write(s + "\n")
     return records
 
 
 def read_catalog(path: str) -> list[CatalogRecord]:
-    return [_record(line.split("\t")) for line in _load_existing(path).values()]
+    return list(_load_existing(path).values())

@@ -95,24 +95,36 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _cmd_dessin(args) -> int:
+def _search_witness(args, refusal: str, min_n: int = 0):
+    """Parse the datum of a dessin or decompose command, search a witness
+    over the sphere and print it as tau[i] lines.  Returns (datum,
+    realization, exit code); with no realization to work on, the reason
+    is printed and the realization is None."""
     datum = parse_datum(args.datum)
-    if datum.base != SPHERE or datum.n < 3:
-        print("dessins are produced for sphere-base data with n >= 3")
-        return 2
+    if datum.base != SPHERE or datum.n < min_n:
+        print(refusal)
+        return datum, None, 2
     if not check_compatibility(datum).compatible:
         print(_verdict_line(datum, classify(datum, args.budget)))
-        return 2
+        return datum, None, 2
     result = realizer.search(datum, args.budget)
     if result.status == realizer.BUDGET_EXCEEDED:
         print(f"{format_datum(datum)} UNKNOWN tag=budget-exceeded")
-        return 3
+        return datum, None, 3
     if result.status == realizer.EXHAUSTED:
         print(f"{format_datum(datum)} EXCEPTIONAL tag=search-exhausted")
-        return 0
-    realization = result.realization
-    for i, tau in enumerate(realization.taus, start=1):
+        return datum, None, 0
+    for i, tau in enumerate(result.realization.taus, start=1):
         print(f"tau[{i}]={format_cycles(tau)}")
+    return datum, result.realization, 0
+
+
+def _cmd_dessin(args) -> int:
+    _, realization, code = _search_witness(
+        args, "dessins are produced for sphere-base data with n >= 3", min_n=3
+    )
+    if realization is None:
+        return code
     dsn = dessin_from_permutations(realization.taus[:-1])
     for line in export_lines(dsn):
         print(line)
@@ -120,23 +132,9 @@ def _cmd_dessin(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    datum = parse_datum(args.datum)
-    if datum.base != SPHERE:
-        print("decomposition runs on sphere-base data")
-        return 2
-    if not check_compatibility(datum).compatible:
-        print(_verdict_line(datum, classify(datum, args.budget)))
-        return 2
-    result = realizer.search(datum, args.budget)
-    if result.status == realizer.BUDGET_EXCEEDED:
-        print(f"{format_datum(datum)} UNKNOWN tag=budget-exceeded")
-        return 3
-    if result.status == realizer.EXHAUSTED:
-        print(f"{format_datum(datum)} EXCEPTIONAL tag=search-exhausted")
-        return 0
-    realization = result.realization
-    for i, tau in enumerate(realization.taus, start=1):
-        print(f"tau[{i}]={format_cycles(tau)}")
+    datum, realization, code = _search_witness(args, "decomposition runs on sphere-base data")
+    if realization is None:
+        return code
     bd = find_block_decomposition(list(realization.taus), args.k)
     if bd is None:
         print(f"no block system of order {args.k}")

@@ -132,26 +132,20 @@ def class_representative(t: tuple[int, ...]) -> Perm:
     return tuple(images)
 
 
-def class_iterator(
-    t: tuple[int, ...], *, split: tuple[int, int] | None = None
-) -> Iterator[Perm]:
+def class_iterator(t: tuple[int, ...]) -> Iterator[Perm]:
     """Stream every permutation of cycle type t exactly once.
 
     Cycles are assigned by backtracking, always anchoring the next cycle
     at the smallest unused point; equal cycle lengths are tried once per
-    anchor, which dedups without hashing.  ``split=(i, k)`` keeps only
-    every k-th top-level branch (offset i), so k split iterators are
-    disjoint and jointly exhaustive -- the hook for data-parallel use.
+    anchor, which dedups without hashing.
     """
     d = sum(t)
     counts = Counter(t)
     lengths = sorted(counts, reverse=True)
     images = [0] * d
     used = bytearray(d)
-    split_idx, split_total = split if split is not None else (0, 1)
-    top_branch = itertools.count()
 
-    def rec(remaining: int, top: bool) -> Iterator[Perm]:
+    def rec(remaining: int) -> Iterator[Perm]:
         if remaining == 0:
             yield tuple(images)
             return
@@ -163,21 +157,19 @@ def class_iterator(
             counts[ln] -= 1
             pool = [i for i in range(d) if not used[i]]
             for rest in itertools.permutations(pool, ln - 1):
-                if top and next(top_branch) % split_total != split_idx:
-                    continue
                 prev = a
                 for x in rest:
                     images[prev] = x
                     used[x] = 1
                     prev = x
                 images[prev] = a
-                yield from rec(remaining - ln, False)
+                yield from rec(remaining - ln)
                 for x in rest:
                     used[x] = 0
             counts[ln] += 1
         used[a] = 0
 
-    return rec(d, True)
+    return rec(d)
 
 
 def centralizer_generators(t: tuple[int, ...]) -> list[Perm]:

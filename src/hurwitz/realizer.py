@@ -26,11 +26,11 @@ cheaply, so oversized realizable data still produce witnesses.
 Classes are stored once, as a uint8 array with one image row per
 permutation in class_iterator order, built by vectorised numpy and
 cached per cycle type when it takes at most _CACHE_BYTES (16 MiB, that
-is class size times degree bytes).  Orbit reduction selects rows of that
-array, and the last-level scan reads it a chunk at a time; larger
-classes are streamed through class_iterator on every visit.  A witness
-is checked by verify_witness before it is returned, also under
-``python -O``.
+is class size times degree bytes).  Orbit reduction, at every degree up
+to 256, selects rows of that array, and the last-level scan reads it a
+chunk at a time; larger classes are streamed through class_iterator on
+every visit.  A witness is checked by verify_witness before it is
+returned, also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -77,7 +77,11 @@ DEFAULT_BUDGET = 10**9
 _REDUCTION_LIMIT = 200_000  # max class size for centralizer-orbit reduction
 _CACHE_BYTES = 16 << 20     # max bytes (size x degree) of a cached class table
 _RANDOM_TRIGGER = 20_000    # remaining-space size that switches the hunt on
-_NUMPY_MIN = 20_000         # scan length where the vectorized path pays off
+# Below this scan length the Python scan is faster, above it numpy: numpy
+# alone took the traced scan time from 0.07 to 0.12 s on catalog-d8n5 and
+# from 0.14 to 0.28 s on catalog-d10n3, Python alone from 0.42 to 12.1 s
+# on walks-d12 (bench/run.py --trace 1, 2-vCPU host).
+_NUMPY_MIN = 20_000
 _CHUNK = 50_000
 _SEED = 0x5EED
 
@@ -227,10 +231,8 @@ def _anchored_reps(anchor: tuple[int, ...], t: tuple[int, ...]) -> _ClassTable:
     d = sum(t)
     if not zgens:
         reps = cls
-    elif d <= 15:
-        reps = _ClassTable(cls.rows[_orbit_firsts_vectorized(cls, zgens, d)])
     else:
-        reps = _ClassTable(cls.rows[_orbit_firsts_hashed(cls, zgens)])
+        reps = _ClassTable(cls.rows[_orbit_firsts_vectorized(cls, zgens, d)])
     _reps_cache[key] = reps
     return reps
 
@@ -238,26 +240,26 @@ def _anchored_reps(anchor: tuple[int, ...], t: tuple[int, ...]) -> _ClassTable:
 def _orbit_firsts_vectorized(cls: _ClassTable, zgens: list[Perm], d: int) -> list[int]:
     """Row indices of the first element of each orbit, ascending.
 
-    Rows are packed into int64 keys (d^d fits for d <= 15), so each
-    conjugation becomes an index map on the class.  Every row's label
-    starts as its own index and takes the minimum with the labels of its
-    images under the maps, with pointer jumping, until nothing changes.
-    Each map permutes the rows of an orbit in cycles, so the labels are
-    then constant on orbits, and a row keeps its own index exactly when
-    it is its orbit's first."""
+    Rows are packed into int64 keys of one or more words (_row_keys),
+    so each conjugation becomes an index map on the class.  Every row's
+    label starts as its own index and takes the minimum with the labels
+    of its images under the maps, with pointer jumping, until nothing
+    changes.  Each map permutes the rows of an orbit in cycles, so the
+    labels are then constant on orbits, and a row keeps its own index
+    exactly when it is its orbit's first."""
     rows = cls.rows
     n = len(rows)
     keys = _row_keys(rows, d)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
+    order = _key_order(keys)
+    sorted_keys = keys[:, order]
     maps = []
     for z in zgens:
         # conjugation permutes the class, so sorting the conjugates' keys
         # lines them up with sorted_keys
         z_arr = np.array(z, dtype=np.uint8)
         conj_keys = _row_keys(z_arr[rows[:, inverse(z)]], d)
-        conj_order = np.argsort(conj_keys)
-        if not np.array_equal(conj_keys[conj_order], sorted_keys):
+        conj_order = _key_order(conj_keys)
+        if not np.array_equal(conj_keys[:, conj_order], sorted_keys):
             raise RuntimeError("conjugate left its class: centralizer is wrong")
         m = np.empty(n, dtype=np.intp)
         m[conj_order] = order
@@ -274,14 +276,26 @@ def _orbit_firsts_vectorized(cls: _ClassTable, zgens: list[Perm], d: int) -> lis
 
 
 def _row_keys(rows: np.ndarray, d: int) -> np.ndarray:
-    keys = np.zeros(len(rows), dtype=np.int64)
+    """The base-d digits of each row packed into int64 words, shape
+    (words, rows).  A digit is below 2^b with b = (d - 1).bit_length(),
+    so a word of 63 // b digits stays non-negative: one word up to d = 15."""
+    per_word = 63 // (d - 1).bit_length()
+    keys = np.zeros((-(-d // per_word), len(rows)), dtype=np.int64)
     for c in range(d - 1, -1, -1):
-        keys *= d
-        keys += rows[:, c]
+        key = keys[c // per_word]
+        key *= d
+        key += rows[:, c]
     return keys
 
 
+def _key_order(keys: np.ndarray) -> np.ndarray:
+    # on one word argsort is faster: 5.7 against 15.9 ms on 151,200 keys
+    return np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
+
+
 def _orbit_firsts_hashed(cls: _ClassTable, zgens: list[Perm]) -> list[int]:
+    """What _orbit_firsts_vectorized returns, by breadth-first search over
+    a set of seen tuples: the tests' reference; search does not call it."""
     firsts = []
     seen: set[Perm] = set()
     for i, sigma in enumerate(cls):

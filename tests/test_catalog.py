@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from hurwitz import catalog
 from hurwitz.catalog import (
     enumerate_compatible,
     read_catalog,
@@ -138,6 +139,40 @@ class TestRunCatalog:
         bad.write_text("# header\ngarbage line without tabs\n")
         with pytest.raises(ValueError, match="line 2"):
             run_catalog(3, 5, out_path=str(bad), resume=True)
+
+    @staticmethod
+    def check_rejected(tmp_path, column, value, match):
+        """Replace one column of the first record (line 3) of a d <= 3
+        catalog; reading and resuming the file must both fail on it."""
+        path = tmp_path / "cat.tsv"
+        run_catalog(3, 3, out_path=str(path))
+        lines = path.read_text().splitlines()
+        cols = lines[2].split("\t")
+        cols[column] = value
+        lines[2] = "\t".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=match):
+            read_catalog(str(path))
+        with pytest.raises(ValueError, match=match):
+            run_catalog(3, 3, out_path=str(path), resume=True)
+
+    @pytest.mark.parametrize("column", [4, 5])
+    def test_non_numeric_column_reports_line(self, tmp_path, column):
+        self.check_rejected(tmp_path, column, "x1", "corrupt catalog line 3: ")
+
+    def test_unknown_verdict_reports_line(self, tmp_path):
+        self.check_rejected(tmp_path, 1, "BOGUS", "corrupt catalog line 3: unknown verdict")
+
+    def test_fresh_run_parses_no_datum(self, tmp_path, monkeypatch):
+        def refuse(line):
+            raise AssertionError(f"datum parsed: {line}")
+
+        path = tmp_path / "cat.tsv"
+        monkeypatch.setattr(catalog, "parse_datum", refuse)
+        records = run_catalog(5, 4, out_path=str(path))
+        monkeypatch.undo()
+        strip = lambda rs: [(r.datum, r.verdict, r.tag, r.witness, r.nodes) for r in rs]
+        assert strip(read_catalog(str(path))) == strip(records)
 
     def test_workers_match_sequential(self, tmp_path):
         seq = run_catalog(3, 4)

@@ -1,3 +1,5 @@
+import pytest
+
 from hurwitz.cli import main
 
 
@@ -102,3 +104,18 @@ class TestDecompose:
         )
         assert code == 0
         assert "no block system" in out
+
+
+@pytest.mark.parametrize("command", [["dessin"], ["decompose", "--k", "3"]])
+class TestSearchCommands:
+    def test_incompatible_exit_two(self, capsys, command):
+        code, out, _ = run(capsys, command[0], "d=4 cover=O1 base=O0 parts=[3,1|2,2|2,2]",
+                           *command[1:])
+        assert code == 2
+        assert out == "d=4 cover=O1 base=O0 parts=[3,1|2,2|2,2] INCOMPATIBLE tag=violated:1\n"
+
+    def test_budget_exit_three(self, capsys, command):
+        code, out, _ = run(capsys, command[0], "d=9 cover=O0 base=O0 parts=[5,2,2|3,3,3|2,2,2,2,1]",
+                           *command[1:], "--budget", "0")
+        assert code == 3
+        assert out == "d=9 cover=O0 base=O0 parts=[5,2,2|3,3,3|2,2,2,2,1] UNKNOWN tag=budget-exceeded\n"

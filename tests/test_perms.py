@@ -129,16 +129,6 @@ class TestClassIterator:
                 t = part.parts
                 assert sum(1 for _ in class_iterator(t)) == class_size(t)
 
-    def test_split_iterators_partition_the_class(self):
-        t = (3, 2, 1)
-        whole = list(class_iterator(t))
-        shards = [list(class_iterator(t, split=(i, 3))) for i in range(3)]
-        merged = [p for shard in shards for p in shard]
-        assert len(merged) == len(whole)
-        assert set(merged) == set(whole)
-        for i, j in itertools.combinations(range(3), 2):
-            assert not set(shards[i]) & set(shards[j])
-
 
 class TestCentralizer:
     def test_generators_commute_with_representative(self):

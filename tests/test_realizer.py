@@ -248,19 +248,31 @@ class TestClassTable:
             assert list(table) == list(class_iterator(t)), t
 
     def test_orbit_firsts_agree_with_hashed_reduction(self):
-        pairs = 0
-        for d in range(2, 8):
-            types = [p.parts for p in partitions_of(d)]
-            for anchor in types:
-                zgens = centralizer_generators(anchor)
-                if not zgens:
-                    continue
-                for t in types:
-                    table = realizer._class_table(t)
-                    firsts = realizer._orbit_firsts_vectorized(table, zgens, d)
-                    assert firsts == realizer._orbit_firsts_hashed(table, zgens), (anchor, t)
-                    pairs += 1
-        assert pairs > 400
+        pairs = [
+            (anchor, t)
+            for d in range(2, 8)
+            for anchor in (p.parts for p in partitions_of(d))
+            for t in (p.parts for p in partitions_of(d))
+        ]
+        # from d = 16 on a key takes two int64 words
+        for d in (16, 17):
+            anchors = [(d,), (d - d // 2, d // 2), (4, 4, 4, 4) + (1,) * (d - 16),
+                       (7, 3, 2, 2) + (1,) * (d - 14)]
+            small = [p.parts for p in partitions_of(d) if class_size(p.parts) <= 20_000]
+            pairs += [(anchor, t) for anchor in anchors for t in small]
+        checked = 0
+        for anchor, t in pairs:
+            zgens = centralizer_generators(anchor)
+            if not zgens:
+                continue
+            table = realizer._class_table(t)
+            keys = realizer._row_keys(table.rows, sum(t))
+            # no word overflows, and no two rows share a key
+            assert keys.min() >= 0 and np.unique(keys, axis=1).shape[1] == len(table)
+            firsts = realizer._orbit_firsts_vectorized(table, zgens, sum(t))
+            assert firsts == realizer._orbit_firsts_hashed(table, zgens), (anchor, t)
+            checked += 1
+        assert checked == 473
 
 
 def _last_level(line):
