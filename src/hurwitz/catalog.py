@@ -152,9 +152,9 @@ def run_catalog(
     out_path: str | None = None,
     resume: bool = False,
     workers: int = 1,
-    base: Surface = SPHERE,
 ) -> list[CatalogRecord]:
-    """Classify every compatible datum with 2 <= d <= d_max, n <= n_max.
+    """Classify every compatible sphere-base datum with 2 <= d <= d_max,
+    n <= n_max.
 
     Writes one record line per datum to out_path (when given); with
     ``resume`` the file is read first, already-recorded data are
@@ -171,7 +171,7 @@ def run_catalog(
     todo = [
         datum
         for d in range(2, d_max + 1)
-        for datum in enumerate_compatible(d, range(0, n_max + 1), base)
+        for datum in enumerate_compatible(d, range(0, n_max + 1))
         if datum not in done
     ]
     if workers > 1:

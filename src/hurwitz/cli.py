@@ -39,6 +39,11 @@ def _verdict_line(datum, verdict: Verdict) -> str:
     return line
 
 
+def _print_taus(taus) -> None:
+    for i, tau in enumerate(taus, start=1):
+        print(f"tau[{i}]={format_cycles(tau)}")
+
+
 def _exit_code(verdict: Verdict) -> int:
     if verdict.kind == INCOMPATIBLE:
         return 2
@@ -64,8 +69,7 @@ def _cmd_realize(args) -> int:
     verdict = classify(datum, args.budget, attach_witness=args.witness)
     print(_verdict_line(datum, verdict))
     if args.witness and verdict.witness is not None:
-        for i, tau in enumerate(verdict.witness.taus, start=1):
-            print(f"tau[{i}]={format_cycles(tau)}")
+        _print_taus(verdict.witness.taus)
     return _exit_code(verdict)
 
 
@@ -95,17 +99,23 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _search_witness(args, refusal: str, min_n: int = 0):
+def _search_witness(args, refusal: str, min_n: int = 0, block_size: int | None = None):
     """Parse the datum of a dessin or decompose command, search a witness
-    over the sphere and print it as tau[i] lines.  Returns (datum,
-    realization, exit code); with no realization to work on, the reason
-    is printed and the realization is None."""
+    over the sphere and print it as tau[i] lines.  A compatible datum is
+    refused before the search when ``block_size`` is given and does not
+    properly divide its degree.  Returns (datum, realization, exit code);
+    with no realization to work on, the reason is printed and the
+    realization is None."""
     datum = parse_datum(args.datum)
     if datum.base != SPHERE or datum.n < min_n:
         print(refusal)
         return datum, None, 2
     if not check_compatibility(datum).compatible:
         print(_verdict_line(datum, classify(datum, args.budget)))
+        return datum, None, 2
+    d = datum.degree
+    if block_size is not None and (not 1 < block_size < d or d % block_size):
+        print(f"--k {block_size} is not a proper divisor of d={d}")
         return datum, None, 2
     result = realizer.search(datum, args.budget)
     if result.status == realizer.BUDGET_EXCEEDED:
@@ -114,8 +124,7 @@ def _search_witness(args, refusal: str, min_n: int = 0):
     if result.status == realizer.EXHAUSTED:
         print(f"{format_datum(datum)} EXCEPTIONAL tag=search-exhausted")
         return datum, None, 0
-    for i, tau in enumerate(result.realization.taus, start=1):
-        print(f"tau[{i}]={format_cycles(tau)}")
+    _print_taus(result.realization.taus)
     return datum, result.realization, 0
 
 
@@ -132,7 +141,9 @@ def _cmd_dessin(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    datum, realization, code = _search_witness(args, "decomposition runs on sphere-base data")
+    datum, realization, code = _search_witness(
+        args, "decomposition runs on sphere-base data", block_size=args.k
+    )
     if realization is None:
         return code
     bd = find_block_decomposition(list(realization.taus), args.k)

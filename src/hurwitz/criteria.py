@@ -13,14 +13,16 @@ do, that is an implementation bug and classify raises loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
+from typing import Callable, Sequence
 
 from .core import (
     SPHERE,
     TORUS,
     PROJECTIVE,
     BranchDatum,
+    Partition,
     check_compatibility,
     refines_two_halves,
 )
@@ -75,8 +77,27 @@ def _all_multiples(p: Partition, k: int) -> bool:
     return all(x % k == 0 for x in p.parts)
 
 
-def _all_even(p: Partition) -> bool:
-    return all(x % 2 == 0 for x in p.parts)
+def _match_ordered(
+    datum: BranchDatum,
+    first: tuple[int, ...],
+    seconds: Sequence[tuple[int, ...]],
+    exceptional: Callable[[tuple[int, ...]], bool | None],
+    tag: str,
+) -> Verdict | None:
+    """Judge the third partition of every ordered pair (first, one of
+    seconds) among the three partitions of datum: ``exceptional(third)``
+    is True, False, or None for a third the rule does not cover.  Fires
+    the common verdict; matches that disagree raise ConsistencyError."""
+    parts = [p.parts for p in datum.partitions]
+    kinds = set()
+    for i, j in permutations(range(3), 2):
+        if parts[i] == first and parts[j] in seconds:
+            bad = exceptional(parts[3 - i - j])
+            if bad is not None:
+                kinds.add(EXCEPTIONAL if bad else REALIZABLE)
+    if len(kinds) > 1:
+        raise ConsistencyError(f"ambiguous shape match on {datum}")
+    return _fire(kinds.pop(), tag) if kinds else None
 
 
 def thm_chi_nonpositive(datum: BranchDatum) -> Verdict | None:
@@ -131,16 +152,11 @@ def prop_eks_222(datum: BranchDatum) -> Verdict | None:
     if datum.base != SPHERE or datum.cover != SPHERE or datum.n != 3 or d % 2:
         return None
     all2 = (2,) * (d // 2)
-    parts = [p.parts for p in datum.partitions]
-    for i, j in combinations(range(3), 2):
-        if parts[i] == all2 and parts[j] == all2:
-            (third,) = [parts[k] for k in range(3) if k not in (i, j)]
-            if len(third) != 2:
-                continue
-            if third[0] == d // 2:
-                return _fire(REALIZABLE, "Prop-EKS-222")
-            return _fire(EXCEPTIONAL, "Prop-EKS-222")
-    return None
+    return _match_ordered(
+        datum, all2, (all2,),
+        lambda third: third[0] != d // 2 if len(third) == 2 else None,
+        "Prop-EKS-222",
+    )
 
 
 def prop_baranski(datum: BranchDatum) -> Verdict | None:
@@ -187,29 +203,18 @@ def prop_53(datum: BranchDatum) -> Verdict | None:
     d = datum.degree
     if datum.base != SPHERE or datum.n != 3 or d < 8 or d % 2:
         return None
-    all2 = (2,) * (d // 2)
-    shape = (5, 3) + (2,) * ((d - 8) // 2)
-    parts = [p.parts for p in datum.partitions]
-    verdicts = []
-    for i in range(3):
-        for j in range(3):
-            if i == j or parts[i] != all2 or parts[j] != shape:
-                continue
-            (third,) = [parts[k] for k in range(3) if k not in (i, j)]
-            if datum.cover == TORUS and len(third) == 2:
-                bad = third == (d // 2, d // 2)
-            elif datum.cover == SPHERE and len(third) == 4:
-                bad = _kk_form(third, d) or (
-                    d % 6 == 0 and third == (d // 2, d // 6, d // 6, d // 6)
-                )
-            else:
-                continue
-            verdicts.append(EXCEPTIONAL if bad else REALIZABLE)
-    if not verdicts:
+
+    def exceptional(third: tuple[int, ...]) -> bool | None:
+        if datum.cover == TORUS and len(third) == 2:
+            return third == (d // 2, d // 2)
+        if datum.cover == SPHERE and len(third) == 4:
+            return _kk_form(third, d) or (
+                d % 6 == 0 and third == (d // 2, d // 6, d // 6, d // 6)
+            )
         return None
-    if len(set(verdicts)) > 1:
-        raise ConsistencyError(f"ambiguous shape match on {datum}")
-    return _fire(verdicts[0], "Prop-53-shape")
+
+    shape = (5, 3) + (2,) * ((d - 8) // 2)
+    return _match_ordered(datum, (2,) * (d // 2), (shape,), exceptional, "Prop-53-shape")
 
 
 def prop_23(datum: BranchDatum) -> Verdict | None:
@@ -219,24 +224,13 @@ def prop_23(datum: BranchDatum) -> Verdict | None:
     d = datum.degree
     if datum.base != SPHERE or datum.cover != SPHERE or datum.n != 3 or d % 2:
         return None
-    all2 = (2,) * (d // 2)
-    shapes = []
+    shapes = [(3,) + (2,) * ((d - 4) // 2) + (1,)]
     if d >= 6:
         shapes.append((3, 3) + (2,) * ((d - 6) // 2))
-    shapes.append((3,) + (2,) * ((d - 4) // 2) + (1,))
-    parts = [p.parts for p in datum.partitions]
-    verdicts = []
-    for i in range(3):
-        for j in range(3):
-            if i == j or parts[i] != all2 or parts[j] not in shapes:
-                continue
-            (third,) = [parts[k] for k in range(3) if k not in (i, j)]
-            verdicts.append(EXCEPTIONAL if third[0] == d // 2 else REALIZABLE)
-    if not verdicts:
-        return None
-    if len(set(verdicts)) > 1:
-        raise ConsistencyError(f"ambiguous shape match on {datum}")
-    return _fire(verdicts[0], "Prop-332-shape")
+    return _match_ordered(
+        datum, (2,) * (d // 2), shapes,
+        lambda third: third[0] == d // 2, "Prop-332-shape",
+    )
 
 
 def thm_fixpoints(datum: BranchDatum) -> Verdict | None:
@@ -267,7 +261,7 @@ def thm_even_deg(datum: BranchDatum) -> Verdict | None:
     if datum.base != SPHERE or datum.cover != SPHERE or datum.degree % 2:
         return None
     parts = datum.partitions
-    idx = [i for i, p in enumerate(parts) if _all_even(p)]
+    idx = [i for i, p in enumerate(parts) if _all_multiples(p, 2)]
     if len(idx) < 2:
         return None
     for i, j in combinations(idx, 2):
@@ -290,7 +284,7 @@ def cor_mixed(datum: BranchDatum) -> Verdict | None:
             continue
         multk = [i for i, p in enumerate(parts) if _all_multiples(p, k)]
         for i1 in multk:
-            evens = [j for j, p in enumerate(parts) if j != i1 and _all_even(p)]
+            evens = [j for j, p in enumerate(parts) if j != i1 and _all_multiples(p, 2)]
             for i2, i3 in combinations(evens, 2):
                 if parts[i2].parts[0] > d // k or parts[i3].parts[0] > d // k:
                     return _fire(EXCEPTIONAL, "Cor-mixed-pair")

@@ -17,7 +17,7 @@ changes no verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import BranchDatum, Surface, surface_from_euler
 from .perms import Perm, cycles, is_transitive
@@ -80,13 +80,18 @@ class Dessin:
         ]
         return tuple(sorted(out, reverse=True))
 
-    def vertex_of_dart(self, dart: int) -> int:
-        e = self.edges[dart // 2]
-        return e[3] if dart & 1 else e[2]
-
 
 def _edge_index(i: int, k: int, d: int) -> int:
     return (i - 1) * d + k
+
+
+def _rot_next(rotations: Sequence[tuple[int, ...]], dart_count: int) -> list[int]:
+    """The dart that follows each dart around its vertex."""
+    nxt = [0] * dart_count
+    for rot in rotations:
+        for dart, after in zip(rot, rot[1:] + rot[:1]):
+            nxt[dart] = after
+    return nxt
 
 
 def dessin_from_permutations(taus: tuple[Perm, ...]) -> Dessin:
@@ -106,46 +111,29 @@ def dessin_from_permutations(taus: tuple[Perm, ...]) -> Dessin:
         raise ValueError("permutations do not act transitively: "
                          "the dessin would be disconnected")
     n = len(taus) + 1
-    layer_cycles = [cycles(t) for t in taus]
     vertex_layer: list[int] = []
-    vertex_of = []  # per layer: point -> vertex id
-    for i, cycs in enumerate(layer_cycles, start=1):
-        point_map = [0] * d
-        for cyc in cycs:
-            vid = len(vertex_layer)
-            vertex_layer.append(i)
-            for x in cyc:
-                point_map[x] = vid
-        vertex_of.append(point_map)
-
-    edges = []
-    for i in range(1, n - 1):
-        for k in range(d):
-            edges.append((i, k, vertex_of[i - 1][k], vertex_of[i][k]))
-
     rotations: list[tuple[int, ...]] = []
-    vid = 0
-    for i, cycs in enumerate(layer_cycles, start=1):
-        for cyc in cycs:
+    vertex_of = []  # per layer: point -> vertex id
+    for i, tau in enumerate(taus, start=1):
+        point_map = [0] * d
+        for cyc in cycles(tau):
             rot: list[int] = []
             for k in cyc:
-                if i == 1:
-                    rot.append(2 * _edge_index(1, k, d))
-                elif i == n - 1:
-                    rot.append(2 * _edge_index(n - 2, k, d) + 1)
-                else:
+                point_map[k] = len(rotations)
+                if i > 1:
                     rot.append(2 * _edge_index(i - 1, k, d) + 1)
+                if i < n - 1:
                     rot.append(2 * _edge_index(i, k, d))
+            vertex_layer.append(i)
             rotations.append(tuple(rot))
-            vid += 1
+        vertex_of.append(point_map)
+    edges = [(i, k, vertex_of[i - 1][k], vertex_of[i][k])
+             for i in range(1, n - 1) for k in range(d)]
 
     # boundary walk: follow the partner dart, then turn to the next dart
     # around its vertex
     dart_count = 2 * len(edges)
-    rot_next = [0] * dart_count
-    for rot in rotations:
-        for idx, dart in enumerate(rot):
-            rot_next[dart] = rot[(idx + 1) % len(rot)]
+    rot_next = _rot_next(rotations, dart_count)
     faces = []
     seen = bytearray(dart_count)
     for start in range(dart_count):
@@ -322,14 +310,16 @@ def checkerboard_coloring(dsn: Dessin) -> Optional[dict[int, int]]:
 
 
 def canonical_form(dsn: Dessin) -> tuple:
-    """A label-independent encoding of the layered rotation system,
-    minimized over all anchor darts; equal forms mean layered,
-    rotation-preserving isomorphism."""
-    dart_count = 2 * dsn.edge_count
-    rot_next = [0] * dart_count
-    for rot in dsn.rotations:
-        for idx, dart in enumerate(rot):
-            rot_next[dart] = rot[(idx + 1) % len(rot)]
+    """A label-independent encoding of the layered rotation system;
+    equal forms mean layered, rotation-preserving isomorphism.
+
+    The encoding is minimized over the d low darts of the layer-1 edges
+    only.  A layered isomorphism keeps each dart's (layer, side) label,
+    so it maps these anchors onto each other; the dessin is connected,
+    so the search from any one anchor reaches every dart and the
+    minimum is still a complete invariant.
+    """
+    rot_next = _rot_next(dsn.rotations, 2 * dsn.edge_count)
 
     def encode(start: int) -> tuple:
         order: dict[int, int] = {}
@@ -354,7 +344,7 @@ def canonical_form(dsn: Dessin) -> tuple:
             )
         return tuple(out)
 
-    return min(encode(s) for s in range(dart_count))
+    return min(encode(2 * e) for e, edge in enumerate(dsn.edges) if edge[0] == 1)
 
 
 def export_lines(dsn: Dessin) -> list[str]:

@@ -38,7 +38,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from itertools import islice
 from math import prod
 from typing import Iterator
 
@@ -404,7 +403,7 @@ def _row_chunks(source) -> Iterator[np.ndarray]:
             size *= 2
         return
     while True:
-        chunk = list(islice(source, _CHUNK))
+        chunk = list(itertools.islice(source, _CHUNK))
         if not chunk:
             return
         yield np.array(chunk, dtype=np.uint8)

@@ -105,6 +105,14 @@ class TestDecompose:
         assert code == 0
         assert "no block system" in out
 
+    @pytest.mark.parametrize("k", ["3", "4"])
+    def test_block_size_not_a_proper_divisor(self, capsys, k):
+        code, out, _ = run(
+            capsys, "decompose", "d=4 cover=O0 base=O0 parts=[4|3,1|2,1,1]", "--k", k,
+        )
+        assert code == 2
+        assert out == f"--k {k} is not a proper divisor of d=4\n"
+
 
 @pytest.mark.parametrize("command", [["dessin"], ["decompose", "--k", "3"]])
 class TestSearchCommands:

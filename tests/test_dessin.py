@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hurwitz.core import parse_datum
@@ -10,7 +12,14 @@ from hurwitz.dessin import (
     permutations_from_dessin,
     validate_against_datum,
 )
-from hurwitz.perms import cycle_type, identity, parse_cycles, product
+from hurwitz.perms import (
+    conjugate,
+    cycle_type,
+    identity,
+    is_transitive,
+    parse_cycles,
+    product,
+)
 from hurwitz.realizer import FOUND, search
 
 
@@ -126,6 +135,27 @@ class TestRoundtrip:
         a = dessin_from_permutations(S4_TAUS)
         b = dessin_from_permutations(conj)
         assert canonical_form(a) == canonical_form(b)
+
+
+class TestSeparation:
+    @pytest.mark.parametrize("d, m, count", [(4, 2, 426), (3, 3, 194)])
+    def test_equal_forms_exactly_on_conjugate_tuples(self, d, m, count):
+        """Over every transitive m-tuple in S_d, two dessins get equal
+        canonical forms exactly when their tuples are simultaneously
+        conjugate, decided by the least relabelling of each tuple."""
+        group = list(itertools.permutations(range(d)))
+        pairs = set()
+        seen = 0
+        for taus in itertools.product(group, repeat=m):
+            if not is_transitive(list(taus), d):
+                continue
+            seen += 1
+            least = min(tuple(conjugate(t, g) for t in taus) for g in group)
+            pairs.add((canonical_form(dessin_from_permutations(taus)), least))
+        assert seen == count
+        forms = {form for form, _ in pairs}
+        classes = {least for _, least in pairs}
+        assert len(forms) == len(classes) == len(pairs)
 
 
 class TestValidate:
