@@ -25,6 +25,13 @@ class BlockDecomposition:
     size: int
     assignment: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        d, k = len(self.assignment), self.size
+        if k < 1 or d % k or sorted(self.assignment) != [
+            b for b in range(d // k) for _ in range(k)
+        ]:
+            raise ValueError("assignment must give block ids 0..d/k-1 to k points each")
+
     @property
     def degree(self) -> int:
         return len(self.assignment)
@@ -91,8 +98,10 @@ def induced_cycle_type(grouping: tuple[tuple[tuple[int, ...], int], ...]) -> tup
     return tuple(sorted((p for _, p in grouping), reverse=True))
 
 
-def _closure(d: int, seed_pairs, gens: Sequence[Perm]) -> list[int]:
-    """Finest generator-invariant partition identifying the seed pairs.
+def _closure(d: int, seeds: Sequence[int], gens: Sequence[Perm]) -> tuple[int, ...]:
+    """Finest generator-invariant partition putting point 0 in one block
+    with every seed, as an assignment with ids numbered by first
+    occurrence (so the block of 0 is block 0).
 
     Whenever two classes merge, the images of the merging pair under
     every generator are merged as well, and the propagation repeats
@@ -114,64 +123,41 @@ def _closure(d: int, seed_pairs, gens: Sequence[Perm]) -> list[int]:
             parent[rb] = ra
             pending.append((a, b))
 
-    for a, b in seed_pairs:
-        union(a, b)
+    for x in seeds:
+        union(0, x)
     while pending:
         a, b = pending.pop()
         for g in gens:
             union(g[a], g[b])
-    return [find(x) for x in range(d)]
-
-
-def _canonical_assignment(roots: list[int]) -> tuple[int, ...]:
     ids: dict[int, int] = {}
-    out = []
-    for r in roots:
-        if r not in ids:
-            ids[r] = len(ids)
-        out.append(ids[r])
-    return tuple(out)
+    return tuple(ids.setdefault(find(x), len(ids)) for x in range(d))
 
 
 def all_block_systems(gens: Sequence[Perm]) -> list[tuple[int, ...]]:
     """Every proper block system of the generated transitive group.
 
-    Minimal systems come from the pairwise closures (0, x); the rest are
-    joins of those, so the collection is closed under pairwise joins
-    until stable.  Transitivity makes all classes of an invariant
-    partition equal-sized blocks.
+    Transitivity makes a system the closure of its block of 0, so the
+    minimal systems are the closures of single points x, and the join of
+    two systems is the closure of the union of their blocks of 0.  The
+    collection is closed under joins until stable; transitivity also
+    makes all classes of an invariant partition equal-sized blocks.
     """
     d = len(gens[0])
     if not is_transitive(gens, d):
         raise ValueError("block systems are defined for transitive actions")
     systems: set[tuple[int, ...]] = set()
-    frontier: list[tuple[int, ...]] = []
-    for x in range(1, d):
-        assignment = _canonical_assignment(_closure(d, [(0, x)], gens))
-        blocks = len(set(assignment))
-        if 1 < blocks < d:
-            if assignment not in systems:
-                systems.add(assignment)
-                frontier.append(assignment)
-    while frontier:
-        fresh: list[tuple[int, ...]] = []
-        for a in frontier:
-            for b in list(systems):
-                pairs = []
-                rep: dict[int, int] = {}
-                for assign in (a, b):
-                    rep.clear()
-                    for x, blk in enumerate(assign):
-                        if blk in rep:
-                            pairs.append((rep[blk], x))
-                        else:
-                            rep[blk] = x
-                joined = _canonical_assignment(_closure(d, pairs, gens))
-                blocks = len(set(joined))
-                if 1 < blocks < d and joined not in systems:
-                    systems.add(joined)
-                    fresh.append(joined)
-        frontier = fresh
+    fresh = [_closure(d, [x], gens) for x in range(1, d)]
+    while fresh:
+        frontier = []
+        for a in fresh:
+            if 1 < max(a) + 1 < d and a not in systems:
+                systems.add(a)
+                frontier.append(a)
+        fresh = [
+            _closure(d, [x for x in range(1, d) if a[x] == 0 or b[x] == 0], gens)
+            for a in frontier
+            for b in systems
+        ]
     return sorted(systems)
 
 
@@ -184,21 +170,10 @@ def find_block_decomposition(gens: Sequence[Perm], k: int) -> BlockDecomposition
     d = len(gens[0])
     if d % k or not 1 < k < d:
         raise ValueError("block size must properly divide the degree")
-    if not is_transitive(gens, d):
-        raise ValueError("block systems are defined for transitive actions")
-    best = None
-    best_key = None
-    for assignment in all_block_systems(gens):
-        size = d // len(set(assignment))
-        if size != k:
-            continue
-        block0 = tuple(x for x in range(d) if assignment[x] == assignment[0])
-        if best_key is None or block0 < best_key:
-            best_key = block0
-            best = assignment
-    if best is None:
+    fits = [a for a in all_block_systems(gens) if max(a) + 1 == d // k]
+    if not fits:
         return None
-    return BlockDecomposition(k, best)
+    return BlockDecomposition(k, min(fits, key=lambda a: [x for x in range(d) if a[x] == 0]))
 
 
 def induced_permutation(bd: BlockDecomposition, p: Perm) -> Perm:
@@ -219,22 +194,18 @@ def block_grouping_of(
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The grouping realized by p on a preserved block system: one group
     per induced cycle, holding the lengths of the p-cycles above it."""
-    hat = induced_permutation(bd, p)
-    point_cycles = cycles(p)
-    cycle_of_point = {}
-    for idx, cyc in enumerate(point_cycles):
-        for x in cyc:
-            cycle_of_point[x] = idx
-    groups = []
-    for hat_cyc in cycles(hat):
-        members = {
-            cycle_of_point[x]
-            for x in range(bd.degree)
-            if bd.assignment[x] in hat_cyc
-        }
-        lengths = tuple(sorted((len(point_cycles[i]) for i in members), reverse=True))
-        groups.append((lengths, len(hat_cyc)))
-    return tuple(sorted(groups))
+    hat_cycles = cycles(induced_permutation(bd, p))
+    group_of_block = [0] * bd.block_count
+    for i, hat_cyc in enumerate(hat_cycles):
+        for b in hat_cyc:
+            group_of_block[b] = i
+    lengths: list[list[int]] = [[] for _ in hat_cycles]
+    for cyc in cycles(p):
+        lengths[group_of_block[bd.assignment[cyc[0]]]].append(len(cyc))
+    return tuple(sorted(
+        (tuple(sorted(group, reverse=True)), len(hat_cyc))
+        for group, hat_cyc in zip(lengths, hat_cycles)
+    ))
 
 
 def factor_covering(
@@ -251,14 +222,12 @@ def factor_covering(
     """
     d = datum.degree
     k = bd.size
-    taus = realization.taus
     outer_parts = []
     inner_parts = []
-    for tau in taus:
-        hat = induced_permutation(bd, tau)  # raises if not preserved
-        outer_parts.append(cycle_type(hat))
-        for group, p in block_grouping_of(bd, tau):
-            inner_parts.append(tuple(sorted((x // p for x in group), reverse=True)))
+    for tau in realization.taus:
+        grouping = block_grouping_of(bd, tau)  # raises if not preserved
+        outer_parts.append(induced_cycle_type(grouping))
+        inner_parts.extend(tuple(x // p for x in group) for group, p in grouping)
 
     outer_kept = [t for t in outer_parts if any(x > 1 for x in t)]
     n_out = len(outer_kept)
@@ -295,13 +264,8 @@ def verify_filtration(datum: BranchDatum, realization: Realization) -> bool:
     gens = list(realization.taus)
     want = sorted([(2,)] * 2 + [(1, 1)] * (datum.n - 2))
     for assignment in all_block_systems(gens):
-        if len(set(assignment)) != 2:
-            continue
-        bd = BlockDecomposition(d // 2, assignment)
-        try:
-            outer = sorted(cycle_type(induced_permutation(bd, tau)) for tau in gens)
-        except ValueError:
-            continue
-        if outer == want:
-            return True
+        if max(assignment) == 1:
+            bd = BlockDecomposition(d // 2, assignment)
+            if sorted(cycle_type(induced_permutation(bd, tau)) for tau in gens) == want:
+                return True
     return False

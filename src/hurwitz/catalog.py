@@ -33,7 +33,7 @@ from .core import (
 from .criteria import (
     DEFAULT_BUDGET, EXCEPTIONAL, INCOMPATIBLE, REALIZABLE, UNKNOWN, classify,
 )
-from .perms import format_cycles
+from .perms import Perm, format_cycles
 
 
 CATALOG_COLUMNS = ("datum", "verdict", "tag", "witness", "nodes", "ms")
@@ -87,13 +87,19 @@ def enumerate_compatible(
                     yield datum
 
 
+def format_witness(taus: Sequence[Perm]) -> str:
+    """The witness column text: the cycle notations of the taus, joined by
+    semicolons."""
+    return ";".join(format_cycles(t) for t in taus)
+
+
 def _classify_record(datum: BranchDatum, budget: int) -> CatalogRecord:
     t0 = time.perf_counter()
     verdict = classify(datum, budget)
     ms = (time.perf_counter() - t0) * 1000.0
     witness = ""
     if verdict.witness is not None:
-        witness = ";".join(format_cycles(t) for t in verdict.witness.taus)
+        witness = format_witness(verdict.witness.taus)
     return CatalogRecord(datum, verdict.kind, verdict.provenance, witness, verdict.nodes, ms)
 
 

@@ -24,7 +24,7 @@ from .criteria import (
     Verdict,
     classify,
 )
-from .catalog import enumerate_compatible, run_catalog, summary_lines
+from .catalog import enumerate_compatible, format_witness, run_catalog, summary_lines
 from .dessin import dessin_from_permutations, export_lines
 from .blocks import factor_covering, find_block_decomposition
 from .perms import format_cycles
@@ -34,8 +34,7 @@ from . import realizer
 def _verdict_line(datum, verdict: Verdict) -> str:
     line = f"{format_datum(datum)} {verdict.kind.upper()} tag={verdict.provenance}"
     if verdict.witness is not None:
-        cycles = ";".join(format_cycles(t) for t in verdict.witness.taus)
-        line += f" witness={cycles}"
+        line += f" witness={format_witness(verdict.witness.taus)}"
     return line
 
 
@@ -218,6 +217,9 @@ def main(argv=None) -> int:
     except DatumParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4
+    except ValueError as exc:  # the engine refuses the input, e.g. d < 2 or d > 256
+        print(f"unsuitable input: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

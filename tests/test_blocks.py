@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from hurwitz.blocks import (
@@ -96,6 +98,55 @@ class TestFindDecomposition:
                 assert bd.blocks() in brute
 
 
+class TestBlockLattice:
+    # the regular action of C_2^4 on itself: the block systems are the coset
+    # partitions of its subgroups, so blocks of size 8 need joins of joins
+    gens = [tuple(x ^ (1 << b) for x in range(16)) for b in range(4)]
+
+    def test_systems_are_the_subgroup_cosets(self):
+        systems = all_block_systems(self.gens)
+        assert len(systems) == 65
+        by_count = {}
+        for a in systems:
+            by_count[max(a) + 1] = by_count.get(max(a) + 1, 0) + 1
+            bd = BlockDecomposition(16 // (max(a) + 1), a)
+            for g in self.gens:
+                induced_permutation(bd, g)  # raises unless preserved
+        assert by_count == {8: 15, 4: 35, 2: 15}
+        subgroups = set()
+        for r in (1, 2, 3):
+            for basis in combinations(range(1, 16), r):
+                span = {0}
+                for v in basis:
+                    span |= {x ^ v for x in span}
+                if len(span) == 1 << r:
+                    subgroups.add(tuple(sorted(span)))
+        assert {tuple(x for x in range(16) if a[x] == 0) for a in systems} == subgroups
+
+    def test_every_proper_order_found(self):
+        for k in (2, 4, 8):
+            bd = find_block_decomposition(self.gens, k)
+            assert bd is not None
+            assert all(len(b) == k for b in bd.blocks())
+            for g in self.gens:
+                induced_permutation(bd, g)
+
+
+class TestBlockDecomposition:
+    @pytest.mark.parametrize("size, assignment", [
+        (3, (0, 0, 1, 1)),  # size does not divide the degree
+        (2, (0, 0, 0, 1)),  # unequal blocks
+        (2, (0, 0, 2, 2)),  # ids beyond the block count
+        (0, (0, 0)),
+    ])
+    def test_rejects_inconsistent_assignment(self, size, assignment):
+        with pytest.raises(ValueError):
+            BlockDecomposition(size, assignment)
+
+    def test_accepts_relabelled_blocks(self):
+        assert BlockDecomposition(2, (1, 0, 1, 0)).blocks() == ((1, 3), (0, 2))
+
+
 class TestInduced:
     def test_not_preserved_raises(self):
         bd = BlockDecomposition(2, (0, 0, 1, 1))
@@ -168,6 +219,12 @@ class TestFiltration:
         res = search(datum)
         with pytest.raises(ValueError):
             verify_filtration(datum, res.realization)
+
+    def test_degree_two_has_no_system(self):
+        datum = parse_datum("d=2 cover=O0 base=O0 parts=[2|2]")
+        res = search(datum)
+        assert res.status == FOUND
+        assert verify_filtration(datum, res.realization) is False
 
     def test_rejects_foreign_witness(self):
         good = parse_datum("d=6 cover=O0 base=O0 parts=[3,3|2,2,2|2,2,2]")

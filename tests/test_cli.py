@@ -56,6 +56,12 @@ class TestEnumerate:
         assert "d=4 cover=O0 base=O0 parts=[3,1|2,2|2,2]" in lines
         assert all(l.startswith("d=4 ") for l in lines)
 
+    def test_degree_below_two_exit_two(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--d", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "unsuitable input: degree must be at least 2\n"
+
 
 class TestCatalog:
     def test_writes_file(self, capsys, tmp_path):
@@ -127,3 +133,13 @@ class TestSearchCommands:
                            *command[1:], "--budget", "0")
         assert code == 3
         assert out == "d=9 cover=O0 base=O0 parts=[5,2,2|3,3,3|2,2,2,2,1] UNKNOWN tag=budget-exceeded\n"
+
+
+@pytest.mark.parametrize("command", [["check"], ["realize"], ["dessin"], ["decompose", "--k", "2"]])
+def test_degree_beyond_search_exit_two(capsys, command):
+    # compatible, settled by no rule, and too large for the search's byte images
+    datum = "d=258 cover=O0 base=O0 parts=[130,128|129,129|3," + ",".join(["1"] * 255) + "]"
+    code, _, err = run(capsys, command[0], datum, *command[1:])
+    assert code == 2
+    assert err.startswith("unsuitable input: search handles degrees up to 256")
+    assert err.count("\n") == 1
