@@ -168,6 +168,10 @@ def run_catalog(
     sorted record order keeps two runs with identical parameters, resumed
     or not, byte-identical except for the wall-time column.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     done: dict[BranchDatum, CatalogRecord] = {}
     if resume and out_path is not None:
         try:

@@ -212,6 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "budget", 0) < 0:
+        print(f"unsuitable input: --budget must be at least 0, got {args.budget}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except DatumParseError as exc:

@@ -19,9 +19,18 @@ Pruning, all of it certificate-preserving:
   one orbit by the cycles the remaining enumerated classes can offer.
 
 Budgets count visited candidates.  Only a completed walk certifies
-exceptionality; a randomized witness hunt (fixed seed, deterministic)
-runs first whenever the remaining classes are too large to walk
-cheaply, so oversized realizable data still produce witnesses.
+exceptionality; a randomized witness hunt runs first whenever the
+remaining classes are too large to walk cheaply, so oversized realizable
+data still produce witnesses.  The hunt's relabellings come from one
+uint8 draw table per degree, filled in place from one Random(_SEED) kept
+per degree and grown by doubling, up to the _HUNT_MAX x len(middle) rows
+the longest hunt reads.  Attempt a always reads the same rows, so
+outcomes, witnesses and node counts do not depend on call order or on
+how far a table has grown.  The first _HUNT_PY (32) attempts are checked
+in Python, where most hunts hit; later ones in numpy chunks that
+conjugate and compose the whole chunk, drop rows by the fixed points of
+the product's powers, and test transitivity on the survivors in attempt
+order.
 
 Classes are stored once, as a uint8 array with one image row per
 permutation in class_iterator order, built by vectorised numpy and
@@ -83,6 +92,12 @@ _RANDOM_TRIGGER = 20_000    # remaining-space size that switches the hunt on
 _NUMPY_MIN = 20_000
 _CHUNK = 50_000
 _SEED = 0x5EED
+_HUNT_MAX = 40_000  # attempts of the longest hunt
+# Hunt attempts checked in Python before the numpy chunks: 94% of the
+# hunts in the catalogs d<=8, n<=5 and d<=10, n=3 hit within them, and
+# numpy from the first attempt made catalog-d8n5 slower.
+_HUNT_PY = 32
+_HUNT_CHUNK = 4096  # most attempts per numpy chunk, so its arrays stay small
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,6 +171,10 @@ class _ClassTable:
 
 _reps_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], _ClassTable] = {}
 _class_cache: dict[tuple[int, ...], _ClassTable] = {}
+# per degree d: the Random(_SEED) the hunt draws its relabellings from,
+# and the uint8 table of the draws so far, row i its i-th
+# random_permutation(d, rng)
+_draws: dict[int, tuple[random.Random, np.ndarray]] = {}
 
 
 def _build_class_list(t: tuple[int, ...]) -> _ClassTable:
@@ -353,6 +372,22 @@ def _merge_cycles(parent: list[int], sigma: Perm) -> tuple[list[int], int]:
     return par, count
 
 
+def _draw_rows(d: int, need: int, cap: int) -> np.ndarray:
+    """The degree-d draw table, filled to at least ``need`` rows (need <=
+    cap).  It grows by doubling, but not past ``cap`` rows, and each new
+    row is written in place."""
+    rng, rows = _draws.get(d) or (random.Random(_SEED), np.empty((0, d), dtype=np.uint8))
+    if len(rows) < need:
+        have = len(rows)
+        grown = np.empty((min(max(need, 2 * have), cap), d), dtype=np.uint8)
+        grown[:have] = rows
+        for i in range(have, len(grown)):
+            grown[i] = random_permutation(d, rng)
+        rows = grown
+        _draws[d] = (rng, rows)
+    return rows
+
+
 def _random_hunt(
     d: int,
     tau1: Perm,
@@ -361,21 +396,64 @@ def _random_hunt(
     budget: _Budget,
     attempts: int,
 ) -> tuple[Perm, ...] | None:
-    rng = random.Random(_SEED)
+    """Attempt a conjugates the class representatives of middle by rows
+    a*m .. a*m+m-1 of the degree's draw table (m = len(middle)), composes
+    them into tau1 and returns the first tuple whose product closes with
+    the target type and acts transitively.  Each attempt costs m nodes,
+    up to and including the hit; the first _HUNT_PY attempts are checked
+    in Python, the rest in numpy chunks that start small and double."""
+    m = len(middle)
     reps = [class_representative(t) for t in middle]
-    cost = len(middle)
-    for _ in range(attempts):
-        budget.spend(cost)
-        sigmas = [conjugate(rep, random_permutation(d, rng)) for rep in reps]
+    run = min(attempts, (budget.limit - budget.nodes) // m)  # what the budget affords
+    cap = _HUNT_MAX * m
+    py_end = min(run, _HUNT_PY)
+    draws = _draw_rows(d, py_end * m, cap)
+    for a in range(py_end):
+        sigmas = [conjugate(rep, g) for rep, g in zip(reps, draws[a * m : a * m + m].tolist())]
         pi = tau1
         for s in sigmas:
             pi = compose(pi, s)
-        if cycle_type(pi) != target:
-            continue
-        if not is_transitive([tau1, *sigmas], d):
-            continue
-        return (tau1, *sigmas, inverse(pi))
+        if cycle_type(pi) == target and is_transitive([tau1, *sigmas], d):
+            budget.spend((a + 1) * m)
+            return (tau1, *sigmas, inverse(pi))
+    tau_arr = np.array(tau1, dtype=np.uint8)
+    tfix = _target_fix_counts(target, d)
+    start = py_end
+    while start < run:
+        stop = min(run, start + min(max(start, 16), _HUNT_CHUNK))
+        g = _draw_rows(d, stop * m, cap)[start * m : stop * m].reshape(stop - start, m, d)
+        # sigma = g o rep o g^-1, that is sigma[g[x]] = g[rep[x]]
+        sig = np.empty_like(g)
+        np.put_along_axis(sig, g, g[:, np.arange(m)[:, None], reps], axis=2)
+        pi = tau_arr[sig[:, 0]]
+        for j in range(1, m):
+            pi = np.take_along_axis(pi, sig[:, j], axis=1)
+        for k in _fix_count_survivors(pi, tfix, d).tolist():
+            sigmas = list(map(tuple, sig[k].tolist()))
+            if is_transitive([tau1, *sigmas], d):
+                budget.spend((start + k + 1) * m)
+                return (tau1, *sigmas, inverse(tuple(pi[k].tolist())))
+        start = stop
+    budget.spend(attempts * m)  # raises when the budget ran out first
     return None
+
+
+def _fix_count_survivors(comp: np.ndarray, tfix: list[int], d: int) -> np.ndarray:
+    """Indices, ascending, of the rows of comp whose powers comp^j have
+    tfix[j-1] fixed points for j = 1..d, that is the rows of the target
+    cycle type; rows that fail a power are dropped before the next one."""
+    idx = np.arange(d, dtype=np.uint8)
+    cur = comp
+    alive = np.arange(len(comp))
+    for j in range(1, d + 1):
+        if j > 1:
+            cur = np.take_along_axis(comp, cur, axis=1)
+        keep = np.count_nonzero(cur == idx, axis=1) == tfix[j - 1]
+        if not keep.all():
+            alive, comp, cur = alive[keep], comp[keep], cur[keep]
+            if not len(alive):
+                break
+    return alive
 
 
 def _scan_python(stream, pi, target, parent, budget, gens_for_transitivity, d):
@@ -411,22 +489,9 @@ def _row_chunks(source) -> Iterator[np.ndarray]:
 
 def _scan_numpy(source, pi, target, parent, budget, gens_for_transitivity, d):
     pi_arr = np.array(pi, dtype=np.uint8)
-    idx = np.arange(d, dtype=np.uint8)
     tfix = _target_fix_counts(target, d)
     for chunk in _row_chunks(source):
-        # cycle type of pi o sigma from the fixed points of its powers;
-        # rows that fail a power are dropped before the next one
-        comp = pi_arr[chunk]
-        cur = comp
-        alive = np.arange(len(chunk))
-        for j in range(1, d + 1):
-            if j > 1:
-                cur = np.take_along_axis(comp, cur, axis=1)
-            keep = np.count_nonzero(cur == idx, axis=1) == tfix[j - 1]
-            if not keep.all():
-                alive, comp, cur = alive[keep], comp[keep], cur[keep]
-                if not len(alive):
-                    break
+        alive = _fix_count_survivors(pi_arr[chunk], tfix, d)  # pi o sigma of the target type
         remaining = budget.limit - budget.nodes
         for h in alive.tolist():
             if h + 1 > remaining:
@@ -450,6 +515,8 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
     the result is eagerly BUDGET_EXCEEDED when the walk provably cannot
     complete within it.  Deterministic: same datum, same outcome.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     if datum.base != SPHERE:
         raise ValueError("search runs over base = sphere only")
     if not check_compatibility(datum).compatible:
@@ -477,7 +544,7 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
     try:
         estimate = prod(class_size(t) for t in middle)
         if estimate > _RANDOM_TRIGGER:
-            attempts = min(40_000, max(2_000, estimate // 50))
+            attempts = min(_HUNT_MAX, max(2_000, estimate // 50))
             taus = _random_hunt(d, tau1, middle, target, bud, attempts)
             if taus is not None:
                 return SearchResult(FOUND, _checked(datum, taus), bud.nodes)

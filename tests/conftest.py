@@ -3,9 +3,10 @@ paths they are used to check."""
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
-from hurwitz import perms
+from hurwitz import perms, realizer
 from hurwitz.core import BranchDatum, Partition, SPHERE
 
 
@@ -53,6 +54,27 @@ def naive_search_n3_unanchored(datum: BranchDatum) -> bool:
             if perms.is_transitive([tau1, tau2], d):
                 return True
     return False
+
+
+def reference_hunt(d, tau1, middle, target, budget, attempts):
+    """What realizer._random_hunt returns, and what it leaves in budget,
+    by the plain loop: a fresh Random(_SEED) per call, one
+    random_permutation per drawn relabelling and the budget spent before
+    each attempt."""
+    rng = random.Random(realizer._SEED)
+    reps = [perms.class_representative(t) for t in middle]
+    for _ in range(attempts):
+        budget.spend(len(middle))
+        sigmas = [perms.conjugate(rep, perms.random_permutation(d, rng)) for rep in reps]
+        pi = tau1
+        for s in sigmas:
+            pi = perms.compose(pi, s)
+        if perms.cycle_type(pi) != target:
+            continue
+        if not perms.is_transitive([tau1, *sigmas], d):
+            continue
+        return (tau1, *sigmas, perms.inverse(pi))
+    return None
 
 
 def brute_block_systems(gens, k: int) -> list[tuple[tuple[int, ...], ...]]:

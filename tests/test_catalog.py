@@ -174,6 +174,11 @@ class TestRunCatalog:
         strip = lambda rs: [(r.datum, r.verdict, r.tag, r.witness, r.nodes) for r in rs]
         assert strip(read_catalog(str(path))) == strip(records)
 
+    @pytest.mark.parametrize("kwargs", [{"workers": 0}, {"workers": -2}, {"budget": -3}])
+    def test_refuses_workers_below_one_and_negative_budget(self, kwargs):
+        with pytest.raises(ValueError, match="must be at least"):
+            run_catalog(3, 4, **kwargs)
+
     def test_workers_match_sequential(self, tmp_path):
         seq = run_catalog(3, 4)
         par = run_catalog(3, 4, workers=2)

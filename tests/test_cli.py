@@ -143,3 +143,25 @@ def test_degree_beyond_search_exit_two(capsys, command):
     assert code == 2
     assert err.startswith("unsuitable input: search handles degrees up to 256")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "d=4 cover=O0 base=O0 parts=[3,1|2,2|2,2]"],
+    ["realize", "d=4 cover=O0 base=O0 parts=[3,1|2,2|2,2]"],
+    ["catalog", "--d-max", "3"],
+    ["dessin", "d=4 cover=O0 base=O0 parts=[4|3,1|2,1,1]"],
+    ["decompose", "d=6 cover=O0 base=O0 parts=[3,3|2,2,2|2,2,2]", "--k", "3"],
+])
+def test_negative_budget_exit_two(capsys, command):
+    code, out, err = run(capsys, *command, "--budget", "-5")
+    assert code == 2
+    assert out == ""
+    assert err == "unsuitable input: --budget must be at least 0, got -5\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_catalog_workers_below_one_exit_two(capsys, workers):
+    code, out, err = run(capsys, "catalog", "--d-max", "3", "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert err == f"unsuitable input: workers must be at least 1, got {workers}\n"

@@ -1,6 +1,8 @@
 import os
+import random
 import subprocess
 import sys
+from math import prod
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from hurwitz.perms import (
     class_representative,
     class_size,
     parse_cycles,
+    random_permutation,
 )
 from hurwitz.realizer import (
     BUDGET_EXCEEDED,
@@ -35,7 +38,7 @@ from hurwitz.realizer import (
     search,
     verify_witness,
 )
-from conftest import naive_search_n3, naive_search_n3_unanchored, sphere_datum
+from conftest import naive_search_n3, naive_search_n3_unanchored, reference_hunt, sphere_datum
 
 
 class TestSearchExamples:
@@ -169,6 +172,11 @@ class TestBudget:
         res = search(datum, budget=0)
         assert res.status == BUDGET_EXCEEDED
         assert res.realization is None
+
+    def test_negative_budget_is_refused(self):
+        datum = parse_datum("d=6 cover=O0 base=O0 parts=[4,2|2,2,2|2,2,2]")
+        with pytest.raises(ValueError, match="budget"):
+            search(datum, -5)
 
     def test_budget_never_claims_exhausted_falsely(self):
         datum = parse_datum("d=6 cover=O2 base=O0 parts=[3,3|3,3|3,3|2,2,1,1]")
@@ -338,6 +346,103 @@ class TestScans:
             for limit in {0, nodes // 2, nodes - 1} - {-1}:
                 got = self.outcomes(line, limit)
                 assert got == [("out of budget", None, limit)] * 4, (line, limit)
+
+
+def _hunt_args(line):
+    """What search hands the random hunt of a datum."""
+    datum = parse_datum(line)
+    types = sorted((p.parts for p in datum.partitions), key=lambda t: (class_size(t), t))
+    middle = types[1:-1]
+    estimate = prod(class_size(t) for t in middle)
+    attempts = min(realizer._HUNT_MAX, max(2_000, estimate // 50))
+    return datum.degree, class_representative(types[0]), middle, types[-1], attempts
+
+
+def _hunt_outcome(hunt, args, limit):
+    budget = realizer._Budget(limit)
+    try:
+        taus = hunt(*args[:4], budget, args[4])
+    except realizer._OutOfBudget:
+        return "out of budget", budget.nodes
+    return taus, budget.nodes
+
+
+# data whose search starts with a hunt, and the attempts that hunt makes
+# up to and including its hit (None: every attempt misses)
+HUNTED = [
+    ("d=7 cover=O0 base=O0 parts=[7|4,1,1,1|2,2,1,1,1|2,1,1,1,1,1]", 9),
+    ("d=10 cover=O0 base=O0 parts=[8,1,1|7,1,1,1|6,1,1,1,1]", 1_159),
+    ("d=8 cover=O0 base=O0 parts=[4,1,1,1,1|4,1,1,1,1|4,1,1,1,1|4,1,1,1,1|3,1,1,1,1,1]", 2_183),
+    ("d=10 cover=O0 base=O0 parts=[7,1,1,1|7,1,1,1|7,1,1,1]", None),
+]
+
+
+class TestHunt:
+    @pytest.fixture(autouse=True, params=[0, 32, 10**6])
+    def python_attempts(self, request, monkeypatch):
+        # all attempts in numpy, the split of search, all in Python
+        monkeypatch.setattr(realizer, "_HUNT_PY", request.param)
+
+    @pytest.mark.parametrize("line, hit", HUNTED)
+    def test_same_tuple_and_nodes_as_reference(self, line, hit):
+        args = _hunt_args(line)
+        m = len(args[2])
+        full = args[4] * m
+        spent = full if hit is None else hit * m
+        taus, nodes = _hunt_outcome(reference_hunt, args, 10**9)
+        assert nodes == spent and (taus is None) == (hit is None)
+        for limit in (0, spent - 1, spent, full - 1, 10**9):
+            want = _hunt_outcome(reference_hunt, args, limit)
+            assert _hunt_outcome(realizer._random_hunt, args, limit) == want, limit
+
+
+class TestDrawTable:
+    def test_rows_are_the_seeded_draws(self):
+        args = _hunt_args(HUNTED[2][0])
+        realizer._random_hunt(*args[:4], realizer._Budget(10**9), args[4])
+        _, rows = realizer._draws[8]
+        assert rows.dtype == np.uint8 and len(rows) >= 3 * 2_183
+        rng = random.Random(realizer._SEED)
+        assert list(map(tuple, rows.tolist())) == [random_permutation(8, rng) for _ in rows]
+
+    def test_table_stops_at_the_longest_hunt(self, monkeypatch):
+        monkeypatch.setattr(realizer, "_draws", {})
+        d, tau1, middle, _, _ = _hunt_args(HUNTED[3][0])
+        # both classes are even and a 10-cycle is odd: every attempt misses
+        budget = realizer._Budget(10**9)
+        assert realizer._random_hunt(d, tau1, middle, (10,), budget, realizer._HUNT_MAX) is None
+        assert budget.nodes == realizer._HUNT_MAX * len(middle)
+        # doubling from the first 32 rows would pass 40,000 at 65,536
+        assert len(realizer._draws[d][1]) == realizer._HUNT_MAX * len(middle)
+
+    def test_outcome_does_not_depend_on_cache_state(self, monkeypatch):
+        lines = [line for line, hit in HUNTED if hit is not None]
+        code = (
+            "import sys\n"
+            "from hurwitz.core import parse_datum\n"
+            "from hurwitz.realizer import search\n"
+            "for line in sys.argv[1:]:\n"
+            "    res = search(parse_datum(line))\n"
+            "    print(res.status, res.nodes, res.realization.taus)\n"
+        )
+        src = os.path.dirname(os.path.dirname(hurwitz.__file__))
+        fresh = subprocess.run(
+            [sys.executable, "-c", code, *lines], check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout.splitlines()
+        # every degree's table grown by other data first, past these hunts
+        monkeypatch.setattr(realizer, "_draws", {})
+        search(parse_datum(HUNTED[3][0]))
+        for line in ("d=7 cover=O0 base=O0 parts=[5,1,1|4,1,1,1|3,1,1,1,1|3,1,1,1,1|2,1,1,1,1,1]",
+                     "d=8 cover=O0 base=O0 parts=[8|5,1,1,1|3,1,1,1,1,1|2,1,1,1,1,1,1]"):
+            search(parse_datum(line))
+        for d in (7, 8, 10):
+            realizer._draw_rows(d, 10_000, 10_000)
+        grown = []
+        for line in lines:
+            res = search(parse_datum(line))
+            grown.append(f"{res.status} {res.nodes} {res.realization.taus}")
+        assert grown == fresh
 
 
 def test_catalog_does_not_import_scipy():
