@@ -9,6 +9,7 @@ an intermediate surface followed by an outer covering of degree d/k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -134,7 +135,13 @@ def _closure(d: int, seeds: Sequence[int], gens: Sequence[Perm]) -> tuple[int, .
 
 
 def all_block_systems(gens: Sequence[Perm]) -> list[tuple[int, ...]]:
-    """Every proper block system of the generated transitive group.
+    """Every proper block system of the generated transitive group, sorted."""
+    return list(_lattice(tuple(map(tuple, gens))))
+
+
+@lru_cache(maxsize=1)
+def _lattice(gens: tuple[Perm, ...]) -> tuple[tuple[int, ...], ...]:
+    """all_block_systems of the last generator tuple, kept for its other block sizes.
 
     Transitivity makes a system the closure of its block of 0, so the
     minimal systems are the closures of single points x, and the join of
@@ -158,7 +165,7 @@ def all_block_systems(gens: Sequence[Perm]) -> list[tuple[int, ...]]:
             for a in frontier
             for b in systems
         ]
-    return sorted(systems)
+    return tuple(sorted(systems))
 
 
 def find_block_decomposition(gens: Sequence[Perm], k: int) -> BlockDecomposition | None:

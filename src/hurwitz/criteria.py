@@ -389,6 +389,8 @@ def classify(
     projective-plane data with orientable cover are classified through
     their sphere reductions.  Unknown only on an exhausted budget.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     report = check_compatibility(datum)
     if not report.compatible:
         return Verdict(INCOMPATIBLE, violations=report.violated)

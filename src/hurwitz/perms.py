@@ -121,6 +121,7 @@ def class_size(t: tuple[int, ...]) -> int:
     return factorial(d) // denom
 
 
+@lru_cache(maxsize=None)
 def class_representative(t: tuple[int, ...]) -> Perm:
     """The permutation whose cycles are consecutive blocks (1..t1)(..)..."""
     images = []

@@ -32,14 +32,14 @@ conjugate and compose the whole chunk, drop rows by the fixed points of
 the product's powers, and test transitivity on the survivors in attempt
 order.
 
-Classes are stored once, as a uint8 array with one image row per
-permutation in class_iterator order, built by vectorised numpy and
-cached per cycle type when it takes at most _CACHE_BYTES (16 MiB, that
-is class size times degree bytes).  Orbit reduction, at every degree up
-to 256, selects rows of that array, and the last-level scan reads it a
-chunk at a time; larger classes are streamed through class_iterator on
-every visit.  A witness is checked by verify_witness before it is
-returned, also under ``python -O``.
+Classes come from one vectorised numpy enumerator, _class_chunks, as
+uint8 image rows in class_iterator order, at most _CHUNK rows at a time.
+A class is cached per cycle type as one array when it takes at most
+_CACHE_BYTES (16 MiB, that is class size times degree bytes); orbit
+reduction, at every degree up to 256, selects rows of that array.  A
+larger class is streamed chunk by chunk on every visit.  A witness is
+checked by verify_witness before it is returned, also under
+``python -O``.
 """
 
 from __future__ import annotations
@@ -59,9 +59,11 @@ from .core import (
     Partition,
     check_compatibility,
 )
+# class_iterator is not called here; it stays bound in this module only
+# because bench/tracer.py hooks hurwitz.realizer.class_iterator
 from .perms import (
     Perm,
-    class_iterator,
+    class_iterator,  # noqa: F401
     class_representative,
     class_size,
     centralizer_generators,
@@ -151,111 +153,97 @@ def verify_witness(datum: BranchDatum, realization: Realization) -> bool:
     return got == want
 
 
-class _ClassTable:
-    """A conjugacy class, or a selection of it, as a uint8 array with one
-    image row per permutation, in class_iterator order.  ``len`` counts
-    rows; iteration yields the rows as Perm tuples for the Python walk."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[Perm]:
-        for chunk in _row_chunks(self):
-            yield from map(tuple, chunk.tolist())
-
-
-_reps_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], _ClassTable] = {}
-_class_cache: dict[tuple[int, ...], _ClassTable] = {}
+_reps_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
+_class_cache: dict[tuple[int, ...], np.ndarray] = {}
 # per degree d: the Random(_SEED) the hunt draws its relabellings from,
 # and the uint8 table of the draws so far, row i its i-th
 # random_permutation(d, rng)
 _draws: dict[int, tuple[random.Random, np.ndarray]] = {}
 
 
-def _build_class_list(t: tuple[int, ...]) -> _ClassTable:
-    return _ClassTable(_class_rows(t))
-
-
-def _class_rows(t: tuple[int, ...]) -> np.ndarray:
+def _class_chunks(t: tuple[int, ...]) -> Iterator[np.ndarray]:
     """Every permutation of cycle type t as uint8 rows, in class_iterator
-    order.
+    order, in chunks of at most _CHUNK rows.
 
     class_iterator closes a first cycle through point 0 for each length,
     longest first, and each ordered choice of its other points, and then
     enumerates the rest of the class on the unused points, which is the
     class of the remaining type relabelled in increasing order.  So each
-    block (length, choice) is that smaller table conjugated by the
+    block (length, choice) is that smaller class conjugated by the
     relabelling g with g(0) = 0, g(1..ln-1) = the choice and g(ln..) =
-    the unused points in increasing order.
+    the unused points in increasing order.  A smaller class that fits in
+    one chunk is built once and conjugated by as many choices at a time
+    as the chunk holds; a larger one is streamed again for each choice.
     """
     d = sum(t)
-    out = np.empty((class_size(t), d), dtype=np.uint8)
     if d == 0:
-        return out
-    off = 0
+        yield np.empty((1, 0), dtype=np.uint8)  # the empty permutation
+        return
     for ln in sorted(set(t), reverse=True):
-        rest = list(t)
-        rest.remove(ln)
-        sub = _class_rows(tuple(rest))
-        # one cycle (0 1 .. ln-1) beside the smaller class on ln..d-1
-        e = np.empty((len(sub), d), dtype=np.uint8)
-        e[:, :ln] = np.roll(np.arange(ln, dtype=np.uint8), -1)
-        e[:, ln:] = sub + np.uint8(ln)
-        choices = list(itertools.permutations(range(1, d), ln - 1))
-        a = len(choices)
-        g = np.empty((a, d), dtype=np.uint8)
-        g[:, 0] = 0
-        g[:, 1:ln] = np.array(choices, dtype=np.uint8).reshape(a, ln - 1)
-        free = np.ones((a, d), dtype=bool)
-        free[:, 0] = False
-        free[np.arange(a)[:, None], g[:, 1:ln]] = False
-        g[:, ln:] = np.nonzero(free)[1].reshape(a, d - ln)
-        ginv = np.argsort(g, axis=1).astype(np.uint8)
-        # block[i, s] = g_i o e_s o g_i^-1, looping over the shorter axis
-        block = out[off : off + a * len(sub)].reshape(a, len(sub), d)
-        if a <= len(sub):
-            for i in range(a):
-                block[i] = g[i][e[:, ginv[i]]]
+        k = t.index(ln)
+        rest = t[:k] + t[k + 1 :]
+        cycle = np.roll(np.arange(ln, dtype=np.uint8), -1)  # (0 1 .. ln-1)
+        if class_size(rest) <= _CHUNK:
+            es = [_beside_cycle(cycle, np.concatenate(list(_class_chunks(rest))))]
+            step = _CHUNK // class_size(rest)
         else:
-            for k in range(len(sub)):
-                block[:, k] = np.take_along_axis(g, e[k][ginv], axis=1)
-        off += a * len(sub)
-    return out
+            es, step = None, 1
+        choices = itertools.permutations(range(1, d), ln - 1)
+        while batch := list(itertools.islice(choices, step)):
+            a = len(batch)
+            g = np.zeros((a, d), dtype=np.uint8)
+            g[:, 1:ln] = np.array(batch, dtype=np.uint8).reshape(a, ln - 1)
+            free = np.ones((a, d), dtype=bool)
+            free[np.arange(a)[:, None], g[:, :ln]] = False
+            g[:, ln:] = np.nonzero(free)[1].reshape(a, d - ln)
+            ginv = np.argsort(g, axis=1).astype(np.uint8)
+            for e in es or (_beside_cycle(cycle, sub) for sub in _class_chunks(rest)):
+                # row (i, s) is g_i o e_s o g_i^-1, looping over the shorter axis
+                block = np.empty((a, len(e), d), dtype=np.uint8)
+                if a <= len(e):
+                    for i in range(a):
+                        block[i] = g[i][e[:, ginv[i]]]
+                else:
+                    for s in range(len(e)):
+                        block[:, s] = np.take_along_axis(g, e[s][ginv], axis=1)
+                yield block.reshape(-1, d)
 
 
-def _class_table(t: tuple[int, ...]) -> _ClassTable:
-    table = _class_cache.get(t)
-    if table is None:
-        table = _build_class_list(t)
-        _class_cache[t] = table
-    return table
+def _beside_cycle(cycle: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """Rows of the cycle on 0..ln-1 beside each row of sub moved to ln..d-1."""
+    return np.hstack([np.broadcast_to(cycle, (len(sub), len(cycle))), sub + np.uint8(len(cycle))])
 
 
-def _anchored_reps(anchor: tuple[int, ...], t: tuple[int, ...]) -> _ClassTable:
+def _build_class_list(t: tuple[int, ...]) -> memoryview:
+    """Class t as one uint8 table filled from _class_chunks; a memoryview,
+    since bench/tracer.py takes the truth value of what this returns."""
+    out = np.empty((class_size(t), sum(t)), dtype=np.uint8)
+    off = 0
+    for chunk in _class_chunks(t):
+        out[off : off + len(chunk)] = chunk
+        off += len(chunk)
+    return memoryview(out)
+
+
+def _class_table(t: tuple[int, ...]) -> np.ndarray:
+    if t not in _class_cache:
+        _class_cache[t] = np.asarray(_build_class_list(t))
+    return _class_cache[t]
+
+
+def _anchored_reps(anchor: tuple[int, ...], t: tuple[int, ...]) -> np.ndarray:
     """Orbit representatives of class t under conjugation by the
     centralizer of class_representative(anchor): one per orbit, the
     first in canonical class order."""
-    key = (anchor, t)
-    reps = _reps_cache.get(key)
-    if reps is not None:
-        return reps
-    zgens = centralizer_generators(anchor)
-    cls = _class_table(t)
-    d = sum(t)
-    if not zgens:
-        reps = cls
-    else:
-        reps = _ClassTable(cls.rows[_orbit_firsts_vectorized(cls, zgens, d)])
-    _reps_cache[key] = reps
-    return reps
+    if (anchor, t) not in _reps_cache:
+        zgens = centralizer_generators(anchor)
+        cls = _class_table(t)
+        reps = cls[_orbit_firsts_vectorized(cls, zgens, sum(t))] if zgens else cls
+        _reps_cache[anchor, t] = reps
+    return _reps_cache[anchor, t]
 
 
-def _orbit_firsts_vectorized(cls: _ClassTable, zgens: list[Perm], d: int) -> list[int]:
+def _orbit_firsts_vectorized(cls: np.ndarray, zgens: list[Perm], d: int) -> list[int]:
     """Row indices of the first element of each orbit, ascending.
 
     Rows are packed into int64 keys of one or more words (_row_keys),
@@ -265,9 +253,8 @@ def _orbit_firsts_vectorized(cls: _ClassTable, zgens: list[Perm], d: int) -> lis
     changes.  Each map permutes the rows of an orbit in cycles, so the
     labels are then constant on orbits, and a row keeps its own index
     exactly when it is its orbit's first."""
-    rows = cls.rows
-    n = len(rows)
-    keys = _row_keys(rows, d)
+    n = len(cls)
+    keys = _row_keys(cls, d)
     order = _key_order(keys)
     sorted_keys = keys[:, order]
     maps = []
@@ -275,7 +262,7 @@ def _orbit_firsts_vectorized(cls: _ClassTable, zgens: list[Perm], d: int) -> lis
         # conjugation permutes the class, so sorting the conjugates' keys
         # lines them up with sorted_keys
         z_arr = np.array(z, dtype=np.uint8)
-        conj_keys = _row_keys(z_arr[rows[:, inverse(z)]], d)
+        conj_keys = _row_keys(z_arr[cls[:, inverse(z)]], d)
         conj_order = _key_order(conj_keys)
         if not np.array_equal(conj_keys[:, conj_order], sorted_keys):
             raise RuntimeError("conjugate left its class: centralizer is wrong")
@@ -311,12 +298,12 @@ def _key_order(keys: np.ndarray) -> np.ndarray:
     return np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
 
 
-def _orbit_firsts_hashed(cls: _ClassTable, zgens: list[Perm]) -> list[int]:
+def _orbit_firsts_hashed(cls: np.ndarray, zgens: list[Perm]) -> list[int]:
     """What _orbit_firsts_vectorized returns, by breadth-first search over
     a set of seen tuples: the tests' reference; search does not call it."""
     firsts = []
     seen: set[Perm] = set()
-    for i, sigma in enumerate(cls):
+    for i, sigma in enumerate(map(tuple, cls.tolist())):
         if sigma in seen:
             continue
         firsts.append(i)
@@ -456,8 +443,8 @@ def _fix_count_survivors(comp: np.ndarray, tfix: list[int], d: int) -> np.ndarra
     return alive
 
 
-def _scan_python(stream, pi, target, parent, budget, gens_for_transitivity, d):
-    for sigma in stream:
+def _scan_python(source, pi, target, parent, budget, gens_for_transitivity, d):
+    for sigma in _perms(source):
         budget.spend(1)
         prod_images = tuple(map(pi.__getitem__, sigma))
         if cycle_type(prod_images) != target:
@@ -469,22 +456,29 @@ def _scan_python(stream, pi, target, parent, budget, gens_for_transitivity, d):
 
 
 def _row_chunks(source) -> Iterator[np.ndarray]:
-    """A class table's rows, or a stream of Perm tuples packed into rows,
-    at most _CHUNK at a time.  A table's chunks start small and double,
-    so a scan that stops early touches few rows."""
-    if isinstance(source, _ClassTable):
+    """The rows of a plan entry, at most _CHUNK at a time.  A table is
+    sliced in chunks that start small and double, so a scan that stops
+    early touches few rows; a cycle type's class is streamed by
+    _class_chunks."""
+    if isinstance(source, np.ndarray):
         start, size = 0, 16
         while start < len(source):
             size = min(size, _CHUNK)
-            yield source.rows[start : start + size]
+            yield source[start : start + size]
             start += size
             size *= 2
-        return
-    while True:
-        chunk = list(itertools.islice(source, _CHUNK))
-        if not chunk:
-            return
-        yield np.array(chunk, dtype=np.uint8)
+    else:
+        yield from _class_chunks(source)
+
+
+def _perms(source) -> Iterator[Perm]:
+    """The rows of a plan entry as Perm tuples, for the Python levels."""
+    for chunk in _row_chunks(source):
+        yield from map(tuple, chunk.tolist())
+
+
+def _row_count(source) -> int:
+    return len(source) if isinstance(source, np.ndarray) else class_size(source)
 
 
 def _scan_numpy(source, pi, target, parent, budget, gens_for_transitivity, d):
@@ -550,7 +544,7 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
                 return SearchResult(FOUND, _checked(datum, taus), bud.nodes)
 
         # candidate plan per enumerated level
-        plan: list[_ClassTable | tuple[int, ...]] = []
+        plan: list[np.ndarray | tuple[int, ...]] = []
         for j, t in enumerate(middle):
             size = class_size(t)
             if j == 0 and size <= _REDUCTION_LIMIT:
@@ -558,9 +552,8 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
             elif size * d <= _CACHE_BYTES:
                 plan.append(_class_table(t))
             else:
-                plan.append(t)  # re-streamed on each visit
-        first_count = len(plan[0]) if isinstance(plan[0], _ClassTable) else class_size(middle[0])
-        if first_count > budget - bud.nodes:
+                plan.append(t)  # streamed by _class_chunks on each visit
+        if _row_count(plan[0]) > budget - bud.nodes:
             return SearchResult(BUDGET_EXCEEDED, None, bud.nodes)
 
         # merge capacity of the classes still to be placed (the forced
@@ -582,15 +575,11 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
 
         def walk(j: int, pi: Perm, parent: list[int], gens: tuple[Perm, ...]) -> None:
             source = plan[j]
-            if isinstance(source, _ClassTable):
-                stream, size = source, len(source)
-            else:
-                stream, size = class_iterator(source), class_size(source)
             if j == last:
-                scan = _scan_numpy if size >= _NUMPY_MIN else _scan_python
-                scan(stream, pi, target, parent, bud, gens, d)
+                scan = _scan_numpy if _row_count(source) >= _NUMPY_MIN else _scan_python
+                scan(source, pi, target, parent, bud, gens, d)
                 return
-            for sigma in stream:
+            for sigma in _perms(source):
                 bud.spend(1)
                 pi2 = compose(pi, sigma)
                 need = d - cycle_count(pi2)

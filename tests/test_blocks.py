@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from hurwitz import blocks
 from hurwitz.blocks import (
     BlockDecomposition,
     all_block_systems,
@@ -122,6 +123,23 @@ class TestBlockLattice:
                 if len(span) == 1 << r:
                     subgroups.add(tuple(sorted(span)))
         assert {tuple(x for x in range(16) if a[x] == 0) for a in systems} == subgroups
+
+    def test_one_lattice_for_every_block_size(self, monkeypatch):
+        gens = [(1, 0, 3, 2, 5, 4, 7, 6), (2, 3, 4, 5, 6, 7, 0, 1)]
+        calls = []
+        closure = blocks._closure
+        monkeypatch.setattr(blocks, "_closure", lambda *args: calls.append(1) or closure(*args))
+
+        def closures(ks):
+            blocks._lattice.cache_clear()
+            calls.clear()
+            assert all(find_block_decomposition(gens, k) for k in ks)
+            return len(calls)
+
+        assert closures([2, 4]) == closures([2]) > 0
+        # the kept lattice is not the caller's list
+        all_block_systems(gens).clear()
+        assert all_block_systems(gens)
 
     def test_every_proper_order_found(self):
         for k in (2, 4, 8):

@@ -346,6 +346,17 @@ class TestClassify:
         v = classify(datum, budget=0)
         assert v.kind == UNKNOWN and v.provenance == "budget-exceeded"
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "d=4 cover=O0 base=O0 parts=[3,1|2,2|2,2]",  # settled by the rules
+            "d=4 cover=O1 base=O0 parts=[3,1|2,2|2,2]",  # incompatible
+        ],
+    )
+    def test_negative_budget_is_refused(self, line):
+        with pytest.raises(ValueError, match="budget must be at least 0, got -5"):
+            classify(parse_datum(line), -5)
+
     def test_attach_witness(self):
         datum = parse_datum("d=4 cover=O0 base=O0 parts=[4|3,1|2,1,1]")
         v = classify(datum, attach_witness=True)

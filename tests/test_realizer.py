@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -245,15 +246,66 @@ class TestWitnessCheck:
         with pytest.raises(WitnessCheckError):
             search(datum)
 
+    @pytest.mark.parametrize(
+        "line, cache_bytes",
+        [
+            ("d=6 cover=O0 base=O0 parts=[3,3|2,2,2|2,2,2]", realizer._CACHE_BYTES),
+            # no class cached: the last level streams its class in chunks
+            ("d=5 cover=O0 base=O0 parts=[2,2,1|2,2,1|2,2,1|2,2,1]", 0),
+        ],
+    )
+    def test_rejected_witness_raises_under_optimize(self, line, cache_bytes):
+        code = (
+            "import sys\n"
+            "from hurwitz import realizer\n"
+            "from hurwitz.core import parse_datum\n"
+            "streamed = []\n"
+            "chunks = realizer._row_chunks\n"
+            "realizer._row_chunks = lambda s: streamed.append(type(s) is tuple) or chunks(s)\n"
+            "realizer._CACHE_BYTES = int(sys.argv[2])\n"
+            "datum = parse_datum(sys.argv[1])\n"
+            "assert realizer.search(datum).status == realizer.FOUND\n"
+            "realizer.verify_witness = lambda datum, realization: False\n"
+            "try:\n"
+            "    realizer.search(datum)\n"
+            "except realizer.WitnessCheckError:\n"
+            "    print(sys.flags.optimize, any(streamed))\n"
+        )
+        src = os.path.dirname(os.path.dirname(hurwitz.__file__))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code, line, str(cache_bytes)], check=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        ).stdout.split()
+        assert out == ["1", str(cache_bytes == 0)]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_rows(t):
+    return np.array(list(class_iterator(t)), dtype=np.uint8).reshape(-1, sum(t))
+
+
+TYPES_TO_9 = [p.parts for d in range(1, 10) for p in partitions_of(d)]
+
 
 class TestClassTable:
     def test_rows_follow_class_iterator(self):
-        types = [p.parts for d in range(1, 10) for p in partitions_of(d)]
-        for t in types + [(3, 3, 3, 3), (4, 2, 2, 2, 2)]:
-            table = realizer._build_class_list(t)
-            assert table.rows.dtype == np.uint8
+        for t in TYPES_TO_9 + [(3, 3, 3, 3), (4, 2, 2, 2, 2)]:
+            table = np.asarray(realizer._build_class_list(t))
+            assert table.dtype == np.uint8
             assert len(table) == class_size(t)
-            assert list(table) == list(class_iterator(t)), t
+            assert np.array_equal(table, _reference_rows(t)), t
+            assert max(map(len, realizer._class_chunks(t))) <= realizer._CHUNK
+
+    @pytest.mark.parametrize("chunk", [7, 37])
+    def test_small_chunks_follow_class_iterator(self, monkeypatch, chunk):
+        monkeypatch.setattr(realizer, "_CHUNK", chunk)
+        # at 7 rows a chunk the two d=12 classes take 10 s, so they run
+        # at 37 only
+        wide = [(3, 3, 3, 3), (4, 2, 2, 2, 2)] if chunk > 7 else []
+        for t in TYPES_TO_9 + wide:
+            chunks = list(realizer._class_chunks(t))
+            assert max(map(len, chunks)) <= chunk, t
+            assert np.array_equal(np.concatenate(chunks), _reference_rows(t)), t
 
     def test_orbit_firsts_agree_with_hashed_reduction(self):
         pairs = [
@@ -274,7 +326,7 @@ class TestClassTable:
             if not zgens:
                 continue
             table = realizer._class_table(t)
-            keys = realizer._row_keys(table.rows, sum(t))
+            keys = realizer._row_keys(table, sum(t))
             # no word overflows, and no two rows share a key
             assert keys.min() >= 0 and np.unique(keys, axis=1).shape[1] == len(table)
             firsts = realizer._orbit_firsts_vectorized(table, zgens, sum(t))
@@ -318,17 +370,18 @@ class TestScans:
 
     def outcomes(self, line, limit):
         t = _last_level(line)[2]
-        table = realizer._build_class_list(t)
+        table = np.asarray(realizer._build_class_list(t))
+        # a cached table, and the cycle type whose class is streamed
         return [
             _scan_outcome(realizer._scan_numpy, table, line, limit),
-            _scan_outcome(realizer._scan_numpy, class_iterator(t), line, limit),
+            _scan_outcome(realizer._scan_numpy, t, line, limit),
             _scan_outcome(realizer._scan_python, table, line, limit),
-            _scan_outcome(realizer._scan_python, class_iterator(t), line, limit),
+            _scan_outcome(realizer._scan_python, t, line, limit),
         ]
 
     @pytest.fixture(autouse=True, params=[7, realizer._CHUNK])
     def chunk(self, request, monkeypatch):
-        # with 7, every class spans many equal chunks; with the default,
+        # with 7, every class spans many small chunks; with the default,
         # the growing chunks of a table are crossed
         monkeypatch.setattr(realizer, "_CHUNK", request.param)
 
@@ -346,6 +399,39 @@ class TestScans:
             for limit in {0, nodes // 2, nodes - 1} - {-1}:
                 got = self.outcomes(line, limit)
                 assert got == [("out of budget", None, limit)] * 4, (line, limit)
+
+
+class TestStreamedClasses:
+    @pytest.fixture(autouse=True)
+    def no_class_iterator(self, monkeypatch):
+        def refuse(t):
+            raise AssertionError("the search called class_iterator")
+
+        monkeypatch.setattr(realizer, "class_iterator", refuse)
+
+    @pytest.mark.parametrize(
+        "line, nodes",
+        [
+            ("d=12 cover=O0 base=O0 parts=[5,5,2|3,3,3,2,1|2,2,2,2,2,2]", 1_507_968),
+            ("d=12 cover=O0 base=O0 parts=[6,3,3|5,2,2,2,1|2,2,2,2,2,2]", 2_035_756),
+        ],
+    )
+    def test_class_above_the_cache_bound(self, line, nodes):
+        # the middle class takes more than _CACHE_BYTES, so the walk
+        # streams it
+        assert search(parse_datum(line)) == realizer.SearchResult(EXHAUSTED, None, nodes)
+
+    def test_streamed_outcomes_equal_cached_ones(self, monkeypatch):
+        data = [datum for d in range(2, 7) for datum in enumerate_compatible(d, range(5))]
+        want = [search(datum) for datum in data]
+        streamed = []
+        chunks = realizer._row_chunks
+        monkeypatch.setattr(
+            realizer, "_row_chunks", lambda s: streamed.append(type(s) is tuple) or chunks(s)
+        )
+        monkeypatch.setattr(realizer, "_CACHE_BYTES", 0)
+        assert [search(datum) for datum in data] == want
+        assert any(streamed)
 
 
 def _hunt_args(line):
