@@ -166,7 +166,9 @@ def run_catalog(
     ``resume`` the file is read first, already-recorded data are
     skipped, and the file is rewritten with old and new records.  The
     sorted record order keeps two runs with identical parameters, resumed
-    or not, byte-identical except for the wall-time column.
+    or not, byte-identical except for the wall-time column.  An out_path
+    that cannot be opened for writing raises OSError before any datum is
+    classified.
     """
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
@@ -178,6 +180,8 @@ def run_catalog(
             done = _load_existing(out_path)
         except FileNotFoundError:
             pass
+    if out_path is not None:
+        open(out_path, "a", encoding="utf-8").close()
     todo = [
         datum
         for d in range(2, d_max + 1)

@@ -220,7 +220,7 @@ def main(argv=None) -> int:
     except DatumParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:  # the engine refuses the input, e.g. d < 2 or d > 256
+    except (ValueError, OSError) as exc:  # e.g. d < 2, d > 256, or an unwritable --out
         print(f"unsuitable input: {exc}", file=sys.stderr)
         return 2
 

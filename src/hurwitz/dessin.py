@@ -5,7 +5,8 @@ layer per permutation (vertices = cycles), one edge per point and
 adjacent layer pair, and a rotation system whose faces are the discs of
 the embedding.  Both directions of the dictionary are implemented: from
 permutations to the graph and back, the latter re-deriving an edge
-numbering from the rotations alone.
+numbering from the rotations alone and refusing any rotation system
+that is not the dessin of a transitive tuple.
 
 Conventions, fixed once: vertex rotations are recorded counterclockwise;
 around a middle-layer vertex the lower-layer edge with index k comes
@@ -24,7 +25,7 @@ from .perms import Perm, cycles, is_transitive
 
 
 class DessinError(ValueError):
-    """Malformed rotation data: the edge numbering rules cannot be met."""
+    """Rotation data that is not the dessin of any transitive tuple."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,89 +162,51 @@ def permutations_from_dessin(dsn: Dessin) -> tuple[Perm, ...]:
     """Recover tau_1..tau_{n-1} from the rotations alone.
 
     Edges of the first layer are numbered from the lowest first-layer
-    vertex onward, rotation order; every later layer inherits numbers
-    through the around-vertex pairing rule.  Different anchors give
-    simultaneously conjugate outputs.  Raises DessinError when the
-    rotations cannot carry a consistent numbering.
+    vertex onward, rotation order; around a middle vertex the high dart
+    of edge (i-1, k) is followed by the low dart of edge (i, k), which
+    passes each number up.  Different anchors give simultaneously
+    conjugate outputs.  Raises DessinError unless the rotations are the
+    dessin of the returned tuple: every dart sits at one vertex, a
+    layer-i vertex carries only high darts of layer i-1 and low darts of
+    layer i, alternating around a middle vertex, no rotation is empty,
+    layer 1 carries d edges and the tuple is transitive.
     """
-    n = dsn.n
-    d = dsn.degree
-    num = [-1] * dsn.edge_count
-
-    def elayer(dart: int) -> int:
-        return dsn.edges[dart // 2][0]
-
-    # layer 1: free numbering, anchored at the lowest vertex id
-    counter = 0
-    for v in range(dsn.vertex_count):
-        if dsn.vertex_layer[v] != 1:
-            continue
-        for dart in dsn.rotations[v]:
-            if dart & 1 or elayer(dart) != 1:
-                raise DessinError("layer-1 vertex carries a foreign dart")
-            if num[dart // 2] != -1:
-                raise DessinError("edge visited twice while numbering layer 1")
-            num[dart // 2] = counter
-            counter += 1
-    if counter != d:
+    n, d = dsn.n, dsn.degree
+    dart_count = 2 * dsn.edge_count
+    seen = bytearray(dart_count)
+    first: list[int] = []  # layer-1 edges in numbering order
+    for i, rot in zip(dsn.vertex_layer, dsn.rotations, strict=True):
+        if not rot:
+            raise DessinError(f"a layer-{i} vertex has an empty rotation")
+        for dart in rot:
+            if not 0 <= dart < dart_count or seen[dart]:
+                raise DessinError(f"dart {dart} is out of range or sits twice")
+            seen[dart] = 1
+            layer = dsn.edges[dart // 2][0]
+            if not (1 <= layer <= n - 2 and layer + (dart & 1) == i):
+                raise DessinError(f"dart {dart} does not belong at a layer-{i} vertex")
+        if 1 < i < n - 1 and any((a ^ b) & 1 == 0 for a, b in zip(rot, rot[1:] + rot[:1])):
+            raise DessinError(f"edges do not alternate around a layer-{i} vertex")
+        if i == 1:
+            first.extend(dart // 2 for dart in rot)
+    if not all(seen):
+        raise DessinError("a dart sits at no vertex")
+    if len(first) != d:
         raise DessinError("layer 1 does not carry exactly d edges")
 
-    # middle layers: the lower-layer edge passes its number to the
-    # upper-layer edge that follows it around the shared vertex
-    for i in range(2, n - 1):
-        for v in range(dsn.vertex_count):
-            if dsn.vertex_layer[v] != i:
-                continue
-            rot = dsn.rotations[v]
-            if len(rot) % 2:
-                raise DessinError(f"odd valence at a layer-{i} vertex")
-            for idx, dart in enumerate(rot):
-                here = elayer(dart)
-                nxt = rot[(idx + 1) % len(rot)]
-                if here == i - 1:
-                    if elayer(nxt) != i:
-                        raise DessinError(
-                            f"edges do not alternate around a layer-{i} vertex"
-                        )
-                    if num[dart // 2] == -1:
-                        raise DessinError("numbering order broken across layers")
-                    if num[nxt // 2] != -1:
-                        raise DessinError("edge numbered twice")
-                    num[nxt // 2] = num[dart // 2]
-                elif here != i:
-                    raise DessinError(f"foreign dart at a layer-{i} vertex")
-
-    for e, value in enumerate(num):
-        if value == -1:
-            raise DessinError("an edge never received a number")
-    for i in range(1, n - 1):
-        layer_nums = sorted(
-            num[e] for e in range(dsn.edge_count) if dsn.edges[e][0] == i
-        )
-        if layer_nums != list(range(d)):
-            raise DessinError(f"layer-{i} numbering is not a bijection onto 1..d")
-
-    taus = []
-    for i in range(1, n):
-        images = [-1] * d
-        read_layer = i if i <= n - 2 else n - 2
-        want_side = 0 if i <= n - 2 else 1  # low darts up to layer n-2, high at the top
-        for v in range(dsn.vertex_count):
-            if dsn.vertex_layer[v] != i:
-                continue
-            rot = dsn.rotations[v]
-            own = [
-                dart for dart in rot
-                if elayer(dart) == read_layer and (dart & 1) == want_side
-            ]
-            if not own:
-                raise DessinError(f"a layer-{i} vertex has no readable edges")
-            for idx, dart in enumerate(own):
-                nxt = own[(idx + 1) % len(own)]
-                images[num[dart // 2]] = num[nxt // 2]
-        if any(x == -1 for x in images):
-            raise DessinError(f"layer-{i} reading is incomplete")
-        taus.append(tuple(images))
+    rot_next = _rot_next(dsn.rotations, dart_count)
+    chain = [first]  # chain[i-1][k] is edge (i, k)
+    for _ in range(n - 3):
+        chain.append([rot_next[2 * e + 1] // 2 for e in chain[-1]])
+    num = [0] * dsn.edge_count
+    for edges in chain:
+        for k, e in enumerate(edges):
+            num[e] = k
+    taus = [tuple(num[rot_next[2 * e] // 2] for e in chain[0])]
+    taus += [tuple(num[rot_next[rot_next[2 * e]] // 2] for e in edges) for edges in chain[1:]]
+    taus.append(tuple(num[rot_next[2 * e + 1] // 2] for e in chain[-1]))
+    if not is_transitive(taus, d):
+        raise DessinError("the rotation system is disconnected")
     return tuple(taus)
 
 

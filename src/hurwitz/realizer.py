@@ -238,7 +238,7 @@ def _anchored_reps(anchor: tuple[int, ...], t: tuple[int, ...]) -> np.ndarray:
     if (anchor, t) not in _reps_cache:
         zgens = centralizer_generators(anchor)
         cls = _class_table(t)
-        reps = cls[_orbit_firsts_vectorized(cls, zgens, sum(t))] if zgens else cls
+        reps = cls[_orbit_firsts_vectorized(cls, zgens, sum(t))]
         _reps_cache[anchor, t] = reps
     return _reps_cache[anchor, t]
 
@@ -516,18 +516,11 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
     if not check_compatibility(datum).compatible:
         raise ValueError("datum is not compatible")
     d = datum.degree
-    n = datum.n
-    if n == 0 or n == 1:
-        # the identity tuple is never transitive for d >= 2, and a single
-        # permutation with trivial product would need cycle type (1,...,1)
-        return SearchResult(EXHAUSTED, None, 0)
+    if datum.n == 2:
+        # Riemann-Hurwitz over the sphere: n <= 2 is compatible only as [d|d]
+        rep = class_representative((d,))
+        return SearchResult(FOUND, Realization(d, (rep, inverse(rep))), 1)
     types = sorted((p.parts for p in datum.partitions), key=lambda t: (class_size(t), t))
-    if n == 2:
-        t1, t2 = types
-        if t1 == (d,) and t2 == (d,):
-            rep = class_representative(t1)
-            return SearchResult(FOUND, Realization(d, (rep, inverse(rep))), 1)
-        return SearchResult(EXHAUSTED, None, 1)
 
     if d > 256:
         raise ValueError("search handles degrees up to 256 (one byte per image)")

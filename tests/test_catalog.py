@@ -174,6 +174,15 @@ class TestRunCatalog:
         strip = lambda rs: [(r.datum, r.verdict, r.tag, r.witness, r.nodes) for r in rs]
         assert strip(read_catalog(str(path))) == strip(records)
 
+    @pytest.mark.parametrize("where", ["missing/cat.tsv", "."])
+    def test_unwritable_out_fails_before_classifying(self, tmp_path, monkeypatch, where):
+        def refuse(*args):
+            raise AssertionError("classified before the output path was checked")
+
+        monkeypatch.setattr(catalog, "classify", refuse)
+        with pytest.raises(OSError):
+            run_catalog(4, 3, out_path=str(tmp_path / where))
+
     @pytest.mark.parametrize("kwargs", [{"workers": 0}, {"workers": -2}, {"budget": -3}])
     def test_refuses_workers_below_one_and_negative_budget(self, kwargs):
         with pytest.raises(ValueError, match="must be at least"):

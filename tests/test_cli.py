@@ -165,3 +165,11 @@ def test_catalog_workers_below_one_exit_two(capsys, workers):
     assert code == 2
     assert out == ""
     assert err == f"unsuitable input: workers must be at least 1, got {workers}\n"
+
+
+@pytest.mark.parametrize("where", ["missing/cat.tsv", "."])
+def test_catalog_unwritable_out_exit_two(capsys, tmp_path, where):
+    code, out, err = run(capsys, "catalog", "--d-max", "3", "--out", str(tmp_path / where))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("unsuitable input: [Errno ") and err.count("\n") == 1

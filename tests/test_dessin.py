@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from hurwitz import dessin
 from hurwitz.core import parse_datum
 from hurwitz.dessin import (
     DessinError,
@@ -15,6 +18,7 @@ from hurwitz.dessin import (
 from hurwitz.perms import (
     conjugate,
     cycle_type,
+    cycles,
     identity,
     is_transitive,
     parse_cycles,
@@ -24,6 +28,16 @@ from hurwitz.realizer import FOUND, search
 
 
 S4_TAUS = (parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 3 2)", 4))
+LAYERED = tuple(parse_cycles(c, 4) for c in ("(1 2 3 4)", "(1 3)(2 4)", "(1 2)"))
+
+
+def numbered_like_inverse(taus):
+    """taus relabelled as permutations_from_dessin numbers the points:
+    x becomes its position in the concatenated cycles of tau_1."""
+    g = [0] * len(taus[0])
+    for pos, x in enumerate(x for cyc in cycles(taus[0]) for x in cyc):
+        g[x] = pos
+    return tuple(conjugate(t, tuple(g)) for t in taus)
 
 
 class TestConstruction:
@@ -64,12 +78,7 @@ class TestConstruction:
             dessin_from_permutations((parse_cycles("(1 2)", 2),))
 
     def test_middle_layer_alternation(self):
-        taus = (
-            parse_cycles("(1 2 3 4)", 4),
-            parse_cycles("(1 3)(2 4)", 4),
-            parse_cycles("(1 2)", 4),
-        )
-        dsn = dessin_from_permutations(taus)
+        dsn = dessin_from_permutations(LAYERED)
         middle = [
             v for v in range(dsn.vertex_count) if dsn.vertex_layer[v] == 2
         ]
@@ -93,6 +102,7 @@ class TestRoundtrip:
     def test_types_recovered(self):
         back = permutations_from_dessin(dessin_from_permutations(S4_TAUS))
         assert [cycle_type(t) for t in back] == [(4,), (3, 1)]
+        assert back == numbered_like_inverse(S4_TAUS)
 
     def test_circle_roundtrip(self):
         t = parse_cycles("(1 2)", 2)
@@ -120,6 +130,7 @@ class TestRoundtrip:
                 assert dsn.euler_characteristic == 2
                 assert validate_against_datum(dsn, datum)
                 back = permutations_from_dessin(dsn)
+                assert back == numbered_like_inverse(taus)
                 assert sorted(cycle_type(t) for t in back) == sorted(
                     cycle_type(t) for t in taus
                 )
@@ -177,12 +188,7 @@ class TestValidate:
 
 class TestMalformed:
     def test_broken_alternation(self):
-        taus = (
-            parse_cycles("(1 2 3 4)", 4),
-            parse_cycles("(1 3)(2 4)", 4),
-            parse_cycles("(1 2)", 4),
-        )
-        dsn = dessin_from_permutations(taus)
+        dsn = dessin_from_permutations(LAYERED)
         target = next(
             v for v in range(dsn.vertex_count)
             if dsn.vertex_layer[v] == 2 and len(dsn.rotations[v]) >= 4
@@ -202,6 +208,91 @@ class TestMalformed:
         )
         with pytest.raises(DessinError):
             permutations_from_dessin(broken)
+
+    # darts of LAYERED: layer-1 vertex 0 (0, 2, 4, 6); layer-2 vertices
+    # 1 (1, 8, 5, 12) and 2 (3, 10, 7, 14); layer-3 vertices 3 (9, 11),
+    # 4 (13,) and 5 (15,).  Integer keys replace rotations, string keys
+    # replace Dessin fields.
+    LAYOUT_FAULTS = {
+        "repeated dart": {1: (0, 8, 5, 12)},
+        "missing dart": {3: (9,)},
+        "dart above range": {5: (16,)},
+        "negative dart": {5: (-1,)},
+        "wrong side": {0: (1, 2, 4, 6), 1: (0, 8, 5, 12)},
+        "wrong layer": {1: (13, 8, 5, 12), 4: (1,)},
+        "no alternation": {1: (1, 8, 5), 2: (3, 10, 7, 14, 12)},
+        "empty rotation": {4: (), 5: (15, 13)},
+        "vertex layer 0": {"vertex_layer": (1, 2, 2, 3, 0, 3)},
+        "vertex layer n": {"vertex_layer": (1, 2, 2, 3, 4, 3)},
+        "layer 1 short of d": {"degree": 5},
+    }
+
+    @pytest.mark.parametrize("fault", LAYOUT_FAULTS)
+    def test_layout_rule(self, fault):
+        change = self.LAYOUT_FAULTS[fault]
+        dsn = dessin_from_permutations(LAYERED)
+        assert dsn.rotations == (
+            (0, 2, 4, 6), (1, 8, 5, 12), (3, 10, 7, 14), (9, 11), (13,), (15,)
+        )
+        rotations = tuple(change.get(v, rot) for v, rot in enumerate(dsn.rotations))
+        fields = {k: v for k, v in change.items() if isinstance(k, str)}
+        mutant = dataclasses.replace(dsn, rotations=rotations, **fields)
+        with pytest.raises(DessinError):
+            permutations_from_dessin(mutant)
+
+    def test_disconnected(self, monkeypatch):
+        t = parse_cycles("(1 2)", 4)
+        monkeypatch.setattr(dessin, "is_transitive", lambda gens, d: True)
+        dsn = dessin_from_permutations((t, t))
+        monkeypatch.undo()
+        with pytest.raises(DessinError, match="disconnected"):
+            permutations_from_dessin(dsn)
+
+
+def mutate(dsn, kind, rng):
+    """One swap, move, overwrite, relayer or cyclic shift of the rotations."""
+    layers, rots = list(dsn.vertex_layer), [list(r) for r in dsn.rotations]
+    a, b = rng.randrange(len(rots)), rng.randrange(len(rots))
+    i, j = rng.randrange(len(rots[a])), rng.randrange(len(rots[b]))
+    if kind == "swap":
+        rots[a][i], rots[b][j] = rots[b][j], rots[a][i]
+    elif kind == "move":
+        rots[b].insert(j, rots[a].pop(i))
+    elif kind == "overwrite":
+        rots[a][i] = rng.randrange(-1, 2 * dsn.edge_count + 1)
+    elif kind == "relayer":
+        layers[a] = rng.randrange(dsn.n + 1)
+    else:  # shift the stretch from i onward by one place
+        rots[a][i:] = rots[a][i + 1:] + rots[a][i:i + 1]
+    return dataclasses.replace(
+        dsn, vertex_layer=tuple(layers), rotations=tuple(map(tuple, rots))
+    )
+
+
+@st.composite
+def transitive_tuples(draw):
+    d = draw(st.integers(3, 7))
+    taus = draw(st.lists(st.permutations(range(d)).map(tuple), min_size=2, max_size=4))
+    assume(is_transitive(taus, d))
+    return tuple(taus)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    transitive_tuples(),
+    st.sampled_from(["swap", "move", "overwrite", "relayer", "shift"]),
+    st.randoms(use_true_random=False),
+)
+def test_inverse_accepts_exactly_dessins(taus, kind, rng):
+    """A mutated rotation system is refused, or it is the dessin of the
+    transitive tuple read back."""
+    mutant = mutate(dessin_from_permutations(taus), kind, rng)
+    try:
+        back = permutations_from_dessin(mutant)
+    except DessinError:
+        return
+    assert is_transitive(list(back), mutant.degree)
+    assert canonical_form(dessin_from_permutations(back)) == canonical_form(mutant)
 
 
 class TestCheckerboard:

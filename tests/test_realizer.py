@@ -94,6 +94,13 @@ class TestSmallBranchCounts:
         datum = BranchDatum(TORUS, SPHERE, 4, (Partition((2, 2)), Partition((2, 2))))
         assert not check_compatibility(datum).compatible
 
+    def test_at_most_two_points_only_full_cycles(self):
+        # search answers n = 2 without looking at the classes, so it
+        # relies on [d|d] being the only compatible datum with n <= 2
+        for d in range(2, 13):
+            found = [[p.parts for p in x.partitions] for x in enumerate_compatible(d, range(3))]
+            assert found == [[(d,), (d,)]]
+
 
 class TestVerifyWitness:
     def test_good_witness(self):
