@@ -210,12 +210,32 @@ def permutations_from_dessin(dsn: Dessin) -> tuple[Perm, ...]:
     return tuple(taus)
 
 
+def _faces_are_walks(dsn: Dessin) -> bool:
+    """The faces are the boundary walks of the rotations: every dart lies
+    on exactly one face, and each step of a face, the last back to the
+    first included, goes x -> rot_next[x ^ 1]."""
+    dart_count = 2 * dsn.edge_count
+    rot_next = _rot_next(dsn.rotations, dart_count)
+    seen = bytearray(dart_count)
+    for walk in dsn.faces:
+        if not walk or not 0 <= walk[-1] < dart_count:
+            return False
+        x = walk[-1]
+        for y in walk:
+            if not 0 <= y < dart_count or seen[y] or rot_next[x ^ 1] != y:
+                return False
+            seen[y] = 1
+            x = y
+    return all(seen)
+
+
 def validate_against_datum(dsn: Dessin, datum: BranchDatum) -> bool:
     """Valences and face lengths match the datum's partitions (end layers
     plainly, middle layers doubled, faces scaled by 2(n-2)) and the
-    Euler-derived surface is the datum's cover."""
+    Euler-derived surface is the datum's cover.  False as well when the
+    faces are not the boundary walks of the rotations."""
     n = dsn.n
-    if datum.n != n or datum.degree != dsn.degree:
+    if datum.n != n or datum.degree != dsn.degree or not _faces_are_walks(dsn):
         return False
     scale = 2 * (n - 2)
     derived = []
@@ -242,7 +262,10 @@ def checkerboard_coloring(dsn: Dessin) -> Optional[dict[int, int]]:
     """Two-color the faces of a sphere dessin so every edge separates
     colors.  Returns None as soon as some vertex has odd valence; with
     all valences even the coloring exists and is unique up to swapping
-    the two colors."""
+    the two colors.  Raises DessinError when the faces are not the
+    boundary walks of the rotations."""
+    if not _faces_are_walks(dsn):
+        raise DessinError("the faces are not the boundary walks of the rotations")
     if dsn.euler_characteristic != 2:
         raise ValueError("checkerboard coloring is defined on the sphere")
     if any(len(rot) % 2 for rot in dsn.rotations):
@@ -276,38 +299,52 @@ def canonical_form(dsn: Dessin) -> tuple:
     """A label-independent encoding of the layered rotation system;
     equal forms mean layered, rotation-preserving isomorphism.
 
-    The encoding is minimized over the d low darts of the layer-1 edges
-    only.  A layered isomorphism keeps each dart's (layer, side) label,
-    so it maps these anchors onto each other; the dessin is connected,
-    so the search from any one anchor reaches every dart and the
-    minimum is still a complete invariant.
+    Each low dart of a layer-1 edge anchors a breadth-first walk that
+    numbers darts as it meets them and writes, for the i-th dart x, the
+    entry (number of the dart after x around its vertex, number of x's
+    partner, layer, side).  The form is the least of these encodings,
+    found by lockstep refinement: every anchor advances one dart per
+    step and only the anchors with the least entry go on.  A layered
+    isomorphism keeps each dart's (layer, side) label, so it maps these
+    anchors onto each other; the dessin is connected, so the walk from
+    any one anchor reaches every dart and the least encoding is still a
+    complete invariant.  Raises DessinError when no edge lies in layer 1
+    or the walk misses a dart.
     """
-    rot_next = _rot_next(dsn.rotations, 2 * dsn.edge_count)
-
-    def encode(start: int) -> tuple:
-        order: dict[int, int] = {}
-        queue = [start]
-        order[start] = 0
-        out = []
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for y in (rot_next[x], x ^ 1):
-                if y not in order:
-                    order[y] = len(order)
-                    queue.append(y)
-            out.append(
-                (
-                    order[rot_next[x]],
-                    order[x ^ 1],
-                    dsn.edges[x // 2][0],
-                    x & 1,
-                )
-            )
-        return tuple(out)
-
-    return min(encode(2 * e) for e, edge in enumerate(dsn.edges) if edge[0] == 1)
+    dart_count = 2 * dsn.edge_count
+    rot_next = _rot_next(dsn.rotations, dart_count)
+    layer = [edge[0] for edge in dsn.edges for _ in (0, 1)]
+    walks = []  # per surviving anchor: (order, queue), order[x] = -1 until met
+    for x in range(0, dart_count, 2):
+        if layer[x] == 1:
+            order = [-1] * dart_count
+            order[x] = 0
+            walks.append((order, [x]))
+    if not walks:
+        raise DessinError("no edge lies in layer 1")
+    out = []
+    for i in range(dart_count):
+        best = None
+        for walk in walks:
+            order, queue = walk
+            if i == len(queue):
+                raise DessinError("the rotation system is disconnected")
+            x = queue[i]
+            y, z = rot_next[x], x ^ 1
+            if order[y] < 0:
+                order[y] = len(queue)
+                queue.append(y)
+            if order[z] < 0:
+                order[z] = len(queue)
+                queue.append(z)
+            entry = (order[y], order[z], layer[x], x & 1)
+            if best is None or entry < best:
+                best, kept = entry, [walk]
+            elif entry == best:
+                kept.append(walk)
+        out.append(best)
+        walks = kept
+    return tuple(out)
 
 
 def export_lines(dsn: Dessin) -> list[str]:

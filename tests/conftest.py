@@ -113,6 +113,40 @@ def brute_block_systems(gens, k: int) -> list[tuple[tuple[int, ...], ...]]:
     return found
 
 
+def encode_from(dsn, start: int) -> tuple:
+    """The breadth-first encoding of a dessin from one anchor dart: darts
+    numbered as they are met, and per dart x in that order the entry
+    (number of the dart after x around its vertex, number of x ^ 1,
+    layer, side)."""
+    rot_next = {}
+    for rot in dsn.rotations:
+        for dart, after in zip(rot, rot[1:] + rot[:1]):
+            rot_next[dart] = after
+    order = {start: 0}
+    queue = [start]
+    out = []
+    head = 0
+    while head < len(queue):
+        x = queue[head]
+        head += 1
+        for y in (rot_next[x], x ^ 1):
+            if y not in order:
+                order[y] = len(order)
+                queue.append(y)
+        out.append((order[rot_next[x]], order[x ^ 1], dsn.edges[x // 2][0], x & 1))
+    return tuple(out)
+
+
+def layer1_anchors(dsn) -> list[int]:
+    """The low darts of the layer-1 edges."""
+    return [2 * e for e, edge in enumerate(dsn.edges) if edge[0] == 1]
+
+
+def canonical_form_reference(dsn) -> tuple:
+    """The least full encoding over every layer-1 anchor."""
+    return min(encode_from(dsn, a) for a in layer1_anchors(dsn))
+
+
 def make_datum(cover, base, d, parts) -> BranchDatum:
     return BranchDatum(cover, base, d, tuple(Partition(tuple(p)) for p in parts))
 

@@ -4,8 +4,9 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import canonical_form_reference, encode_from, layer1_anchors
 from hurwitz import dessin
-from hurwitz.core import parse_datum
+from hurwitz.core import SPHERE, TORUS, parse_datum
 from hurwitz.dessin import (
     DessinError,
     canonical_form,
@@ -29,6 +30,7 @@ from hurwitz.realizer import FOUND, search
 
 S4_TAUS = (parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 3 2)", 4))
 LAYERED = tuple(parse_cycles(c, 4) for c in ("(1 2 3 4)", "(1 3)(2 4)", "(1 2)"))
+EVEN_TAUS = (parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 3)(2 4)", 4))
 
 
 def numbered_like_inverse(taus):
@@ -186,6 +188,48 @@ class TestValidate:
         assert not validate_against_datum(dsn, datum)
 
 
+class TestFaces:
+    # faces of EVEN_TAUS: (0, 5, 6, 3) and (1, 2, 7, 4)
+    FACE_FAULTS = {
+        "one-dart face": ((0,),),
+        "reversed walk": ((3, 6, 5, 0), (4, 7, 2, 1)),
+        "darts traded": ((0, 5, 6, 4), (1, 2, 7, 3)),
+        "dart twice": ((0, 5, 6, 3), (1, 2, 7, 3)),
+        "face twice": ((0, 5, 6, 3), (1, 2, 7, 4), (0, 5, 6, 3)),
+        "missing dart": ((0, 5, 6, 3), (1, 2, 7)),
+        "missing face": ((0, 5, 6, 3),),
+        "walk cut short": ((0, 5), (6, 3), (1, 2, 7, 4)),
+        "empty face": ((0, 5, 6, 3), (1, 2, 7, 4), ()),
+        "dart above range": ((0, 5, 6, 3), (1, 2, 8, 4)),
+        "last dart above range": ((0, 5, 6, 3), (1, 2, 7, 9)),
+        "negative dart": ((0, 5, 6, 3), (1, -4, 7, 4)),
+    }
+
+    @pytest.mark.parametrize("fault", FACE_FAULTS)
+    def test_faces_not_walks_refused(self, fault):
+        dsn = dessin_from_permutations(EVEN_TAUS)
+        assert dsn.faces == ((0, 5, 6, 3), (1, 2, 7, 4))
+        datum = parse_datum("d=4 cover=O0 base=O0 parts=[2,2|2,2|2,2]")
+        assert validate_against_datum(dsn, datum)
+        assert checkerboard_coloring(dsn) is not None
+        mutant = dataclasses.replace(dsn, faces=self.FACE_FAULTS[fault])
+        assert not validate_against_datum(mutant, datum)
+        with pytest.raises(DessinError, match="boundary walks"):
+            checkerboard_coloring(mutant)
+
+    def test_one_dart_face_misreads_surface(self):
+        """A single one-dart face makes the Euler count read the torus, so
+        neither the datum check nor the coloring may trust it."""
+        dsn = dessin_from_permutations(S4_TAUS)
+        mutant = dataclasses.replace(dsn, faces=((0,),))
+        assert (dsn.surface, mutant.surface) == (SPHERE, TORUS)
+        for cover in ("O0", "O1"):
+            datum = parse_datum(f"d=4 cover={cover} base=O0 parts=[4|3,1|2,1,1]")
+            assert not validate_against_datum(mutant, datum)
+        with pytest.raises(DessinError):
+            checkerboard_coloring(mutant)
+
+
 class TestMalformed:
     def test_broken_alternation(self):
         dsn = dessin_from_permutations(LAYERED)
@@ -247,6 +291,16 @@ class TestMalformed:
         monkeypatch.undo()
         with pytest.raises(DessinError, match="disconnected"):
             permutations_from_dessin(dsn)
+        with pytest.raises(DessinError, match="disconnected"):
+            canonical_form(dsn)
+
+    def test_canonical_form_needs_layer_one(self):
+        dsn = dessin_from_permutations(S4_TAUS)
+        mutant = dataclasses.replace(
+            dsn, edges=tuple((2, k, lo, hi) for _, k, lo, hi in dsn.edges)
+        )
+        with pytest.raises(DessinError, match="layer 1"):
+            canonical_form(mutant)
 
 
 def mutate(dsn, kind, rng):
@@ -270,8 +324,8 @@ def mutate(dsn, kind, rng):
 
 
 @st.composite
-def transitive_tuples(draw):
-    d = draw(st.integers(3, 7))
+def transitive_tuples(draw, low=3, high=7):
+    d = draw(st.integers(low, high))
     taus = draw(st.lists(st.permutations(range(d)).map(tuple), min_size=2, max_size=4))
     assume(is_transitive(taus, d))
     return tuple(taus)
@@ -293,6 +347,43 @@ def test_inverse_accepts_exactly_dessins(taus, kind, rng):
         return
     assert is_transitive(list(back), mutant.degree)
     assert canonical_form(dessin_from_permutations(back)) == canonical_form(mutant)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(transitive_tuples(2, 9))
+def test_canonical_form_is_least_encoding(taus):
+    """Lockstep refinement returns the least full encoding over the anchors."""
+    dsn = dessin_from_permutations(taus)
+    assert canonical_form(dsn) == canonical_form_reference(dsn)
+
+
+def cyclic_tuple(d, *powers):
+    """(c^p for p in powers) for the d-cycle c = (0 1 ... d-1)."""
+    return tuple(tuple((x + p) % d for x in range(d)) for p in powers)
+
+
+def dihedral_pair(m):
+    """Rotation and reflection of the dihedral group of order 2m acting on
+    itself by left multiplication; point 2j + e stands for r^j s^e."""
+    r = tuple(2 * ((x // 2 + 1) % m) + x % 2 for x in range(2 * m))
+    s = tuple(2 * (-(x // 2) % m) + 1 - x % 2 for x in range(2 * m))
+    return r, s
+
+
+TIED = [pytest.param(cyclic_tuple(d, 1, k), id=f"c^1,c^{k} d={d}")
+        for d in range(2, 10) for k in range(d)]
+TIED += [pytest.param(cyclic_tuple(d, 1, k, d - 1 - k), id=f"c^1,c^{k},c^{d - 1 - k} d={d}")
+         for d in (5, 8) for k in range(d)]
+TIED += [pytest.param(dihedral_pair(m), id=f"dihedral d={2 * m}") for m in range(2, 6)]
+
+
+@pytest.mark.parametrize("taus", TIED)
+def test_canonical_form_when_every_anchor_ties(taus):
+    """Regular dessins have automorphisms moving every anchor onto every
+    other, so all anchors stay tied to the last step."""
+    dsn = dessin_from_permutations(taus)
+    assert len({encode_from(dsn, a) for a in layer1_anchors(dsn)}) == 1
+    assert canonical_form(dsn) == canonical_form_reference(dsn)
 
 
 class TestCheckerboard:
