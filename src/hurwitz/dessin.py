@@ -91,6 +91,8 @@ def _rot_next(rotations: Sequence[tuple[int, ...]], dart_count: int) -> list[int
     nxt = [0] * dart_count
     for rot in rotations:
         for dart, after in zip(rot, rot[1:] + rot[:1]):
+            if not 0 <= dart < dart_count:
+                raise DessinError(f"dart {dart} is out of range")
             nxt[dart] = after
     return nxt
 
@@ -232,10 +234,13 @@ def _faces_are_walks(dsn: Dessin) -> bool:
 def validate_against_datum(dsn: Dessin, datum: BranchDatum) -> bool:
     """Valences and face lengths match the datum's partitions (end layers
     plainly, middle layers doubled, faces scaled by 2(n-2)) and the
-    Euler-derived surface is the datum's cover.  False as well when the
-    faces are not the boundary walks of the rotations."""
+    Euler-derived surface is the datum's cover.  False as well when a
+    rotation dart is out of range or the faces are not boundary walks."""
     n = dsn.n
-    if datum.n != n or datum.degree != dsn.degree or not _faces_are_walks(dsn):
+    try:
+        if datum.n != n or datum.degree != dsn.degree or not _faces_are_walks(dsn):
+            return False
+    except DessinError:
         return False
     scale = 2 * (n - 2)
     derived = []
@@ -262,8 +267,8 @@ def checkerboard_coloring(dsn: Dessin) -> Optional[dict[int, int]]:
     """Two-color the faces of a sphere dessin so every edge separates
     colors.  Returns None as soon as some vertex has odd valence; with
     all valences even the coloring exists and is unique up to swapping
-    the two colors.  Raises DessinError when the faces are not the
-    boundary walks of the rotations."""
+    the two colors.  Raises DessinError when a rotation dart is out of
+    range or the faces are not the boundary walks of the rotations."""
     if not _faces_are_walks(dsn):
         raise DessinError("the faces are not the boundary walks of the rotations")
     if dsn.euler_characteristic != 2:
@@ -308,8 +313,8 @@ def canonical_form(dsn: Dessin) -> tuple:
     isomorphism keeps each dart's (layer, side) label, so it maps these
     anchors onto each other; the dessin is connected, so the walk from
     any one anchor reaches every dart and the least encoding is still a
-    complete invariant.  Raises DessinError when no edge lies in layer 1
-    or the walk misses a dart.
+    complete invariant.  Raises DessinError when a rotation dart is out
+    of range, no edge lies in layer 1 or the walk misses a dart.
     """
     dart_count = 2 * dsn.edge_count
     rot_next = _rot_next(dsn.rotations, dart_count)

@@ -174,30 +174,25 @@ def class_iterator(t: tuple[int, ...]) -> Iterator[Perm]:
 
 
 def centralizer_generators(t: tuple[int, ...]) -> list[Perm]:
-    """Generators of the centralizer of class_representative(t):
-    one rotation per cycle plus swaps of adjacent equal-length blocks."""
+    """Generators of the centralizer of class_representative(t), the
+    product over cycle lengths l of C_l wr S_k, k the number of l-cycles:
+    per length a rotation of its first cycle (l > 1), a swap of its first
+    two cycles (k >= 2) and a cyclic shift of all k cycles (k >= 3)."""
     d = sum(t)
-    lens = sorted(t, reverse=True)
-    starts = []
-    pos = 0
-    for ln in lens:
-        starts.append(pos)
-        pos += ln
     gens: list[Perm] = []
-    for s, ln in zip(starts, lens):
-        if ln == 1:
-            continue
-        g = list(range(d))
-        for i in range(ln):
-            g[s + i] = s + (i + 1) % ln
-        gens.append(tuple(g))
-    for i in range(len(lens) - 1):
-        if lens[i] == lens[i + 1]:
-            g = list(range(d))
-            for j in range(lens[i]):
-                g[starts[i] + j] = starts[i + 1] + j
-                g[starts[i + 1] + j] = starts[i] + j
-            gens.append(tuple(g))
+    start = 0
+    for ln, k in sorted(Counter(t).items(), reverse=True):
+        end = start + k * ln
+        pts = list(range(start, end))  # the k cycles of length ln, in turn
+        moved = []
+        if ln > 1:
+            moved.append(pts[1:ln] + pts[:1] + pts[ln:])
+        if k >= 2:
+            moved.append(pts[ln:2 * ln] + pts[:ln] + pts[2 * ln:])
+        if k >= 3:
+            moved.append(pts[ln:] + pts[:ln])
+        gens += [(*range(start), *images, *range(end, d)) for images in moved]
+        start = end
     return gens
 
 

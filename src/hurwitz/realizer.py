@@ -261,8 +261,7 @@ def _orbit_firsts_vectorized(cls: np.ndarray, zgens: list[Perm], d: int) -> list
     for z in zgens:
         # conjugation permutes the class, so sorting the conjugates' keys
         # lines them up with sorted_keys
-        z_arr = np.array(z, dtype=np.uint8)
-        conj_keys = _row_keys(z_arr[cls[:, inverse(z)]], d)
+        conj_keys = _row_keys(cls, d, z)
         conj_order = _key_order(conj_keys)
         if not np.array_equal(conj_keys[:, conj_order], sorted_keys):
             raise RuntimeError("conjugate left its class: centralizer is wrong")
@@ -280,16 +279,17 @@ def _orbit_firsts_vectorized(cls: np.ndarray, zgens: list[Perm], d: int) -> list
     return np.flatnonzero(label == np.arange(n)).tolist()
 
 
-def _row_keys(rows: np.ndarray, d: int) -> np.ndarray:
+def _row_keys(rows: np.ndarray, d: int, z: Perm | None = None) -> np.ndarray:
     """The base-d digits of each row packed into int64 words, shape
-    (words, rows).  A digit is below 2^b with b = (d - 1).bit_length(),
-    so a word of 63 // b digits stays non-negative: one word up to d = 15."""
+    (words, rows); with z, those of z o row o z^-1, whose digit at z[x]
+    is z[row[x]], read off the rows without building the conjugates.  A
+    digit is below 2^b, b = (d - 1).bit_length(), so a word of 63 // b
+    digits stays non-negative: one word up to d = 15."""
     per_word = 63 // (d - 1).bit_length()
     keys = np.zeros((-(-d // per_word), len(rows)), dtype=np.int64)
-    for c in range(d - 1, -1, -1):
-        key = keys[c // per_word]
-        key *= d
-        key += rows[:, c]
+    digits = np.array(range(d) if z is None else z, dtype=np.int64)
+    for x, c in enumerate(digits.tolist()):
+        keys[c // per_word] += (digits * d ** (c % per_word)).take(rows[:, x])
     return keys
 
 

@@ -77,6 +77,30 @@ def reference_hunt(d, tau1, middle, target, budget, attempts):
     return None
 
 
+def centralizer_generators_reference(t: tuple[int, ...]) -> list[perms.Perm]:
+    """A larger generating set of the centralizer of
+    class_representative(t): one rotation per cycle plus a swap of each
+    two adjacent cycles of equal length."""
+    d = sum(t)
+    lens = sorted(t, reverse=True)
+    starts = [sum(lens[:i]) for i in range(len(lens))]
+    gens = []
+    for s, ln in zip(starts, lens):
+        if ln > 1:
+            g = list(range(d))
+            for i in range(ln):
+                g[s + i] = s + (i + 1) % ln
+            gens.append(tuple(g))
+    for i in range(len(lens) - 1):
+        if lens[i] == lens[i + 1]:
+            g = list(range(d))
+            for j in range(lens[i]):
+                g[starts[i] + j] = starts[i + 1] + j
+                g[starts[i + 1] + j] = starts[i] + j
+            gens.append(tuple(g))
+    return gens
+
+
 def brute_block_systems(gens, k: int) -> list[tuple[tuple[int, ...], ...]]:
     """All block systems of order k by scanning every partition of the
     ground set into d/k blocks of size k."""

@@ -294,6 +294,19 @@ class TestMalformed:
         with pytest.raises(DessinError, match="disconnected"):
             canonical_form(dsn)
 
+    @pytest.mark.parametrize("dart", [8, -1])
+    def test_rotation_dart_out_of_range(self, dart):
+        # -1 would alias dart 7, the one it replaces
+        dsn = dessin_from_permutations(S4_TAUS)
+        assert dsn.rotations == ((0, 2, 4, 6), (1, 5, 3), (7,))
+        mutant = dataclasses.replace(dsn, rotations=((0, 2, 4, 6), (1, 5, 3), (dart,)))
+        datum = parse_datum("d=4 cover=O0 base=O0 parts=[4|3,1|2,1,1]")
+        assert validate_against_datum(dsn, datum)
+        assert not validate_against_datum(mutant, datum)
+        for check in (checkerboard_coloring, canonical_form):
+            with pytest.raises(DessinError, match="out of range"):
+                check(mutant)
+
     def test_canonical_form_needs_layer_one(self):
         dsn = dessin_from_permutations(S4_TAUS)
         mutant = dataclasses.replace(

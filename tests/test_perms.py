@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -132,10 +133,40 @@ class TestClassIterator:
 
 class TestCentralizer:
     def test_generators_commute_with_representative(self):
-        for t in ((4, 2), (2, 2, 1), (3, 3), (2, 2, 2, 2)):
-            rep = class_representative(t)
-            for z in centralizer_generators(t):
-                assert conjugate(rep, z) == rep
+        from hurwitz.core import partitions_of
+
+        for d in range(1, 9):
+            for t in (p.parts for p in partitions_of(d)):
+                rep = class_representative(t)
+                for z in centralizer_generators(t):
+                    assert conjugate(rep, z) == rep, (t, z)
+
+    def test_generators_give_the_whole_centralizer(self):
+        from hurwitz.core import partitions_of
+
+        for d in range(1, 8):
+            group = list(itertools.permutations(range(d)))
+            for t in (p.parts for p in partitions_of(d)):
+                rep = class_representative(t)
+                brute = {g for g in group if conjugate(rep, g) == rep}
+                zgens = centralizer_generators(t)
+                closure = {identity(d)}
+                frontier = [identity(d)]
+                while frontier:
+                    nxt = []
+                    for g in frontier:
+                        for z in zgens:
+                            h = compose(z, g)
+                            if h not in closure:
+                                closure.add(h)
+                                nxt.append(h)
+                    frontier = nxt
+                assert closure == brute, t
+                order = 1
+                for ln in set(t):
+                    k = t.count(ln)
+                    order *= ln ** k * math.factorial(k)
+                assert len(closure) == order, t
 
     def test_orbit_size_divides_centralizer_order(self):
         # the class of the representative under its own centralizer is itself

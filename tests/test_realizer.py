@@ -26,6 +26,7 @@ from hurwitz.perms import (
     class_iterator,
     class_representative,
     class_size,
+    inverse,
     parse_cycles,
     random_permutation,
 )
@@ -39,7 +40,13 @@ from hurwitz.realizer import (
     search,
     verify_witness,
 )
-from conftest import naive_search_n3, naive_search_n3_unanchored, reference_hunt, sphere_datum
+from conftest import (
+    centralizer_generators_reference,
+    naive_search_n3,
+    naive_search_n3_unanchored,
+    reference_hunt,
+    sphere_datum,
+)
 
 
 class TestSearchExamples:
@@ -338,8 +345,26 @@ class TestClassTable:
             assert keys.min() >= 0 and np.unique(keys, axis=1).shape[1] == len(table)
             firsts = realizer._orbit_firsts_vectorized(table, zgens, sum(t))
             assert firsts == realizer._orbit_firsts_hashed(table, zgens), (anchor, t)
+            # the orbits depend on the group alone, not on its generators
+            wider = centralizer_generators_reference(anchor)
+            assert firsts == realizer._orbit_firsts_vectorized(table, wider, sum(t)), (anchor, t)
             checked += 1
         assert checked == 473
+
+    def test_conjugate_keys_read_off_the_table(self):
+        rng = random.Random(5)
+        types = [t for t in TYPES_TO_9 if sum(t) >= 2]
+        # from d = 16 on a key takes two int64 words
+        types += [p.parts for d in (16, 17) for p in partitions_of(d)
+                  if class_size(p.parts) <= 20_000]
+        for t in types:
+            d = sum(t)
+            table = realizer._class_table(t)
+            for _ in range(3):
+                z = random_permutation(d, rng)
+                conjugates = np.array(z, dtype=np.uint8)[table[:, inverse(z)]]
+                want = realizer._row_keys(conjugates, d)
+                assert np.array_equal(realizer._row_keys(table, d, z), want), (t, z)
 
 
 def _last_level(line):
