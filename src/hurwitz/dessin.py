@@ -17,7 +17,7 @@ changes no verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .core import BranchDatum, Surface, surface_from_euler
@@ -35,8 +35,12 @@ class Dessin:
     ``vertex_layer[v]`` is the 1-based layer of vertex v; ``edges[e]`` is
     ``(layer, k, v_low, v_high)`` with k the 0-based point label; dart
     ``2*e`` sits at the low end of edge e and ``2*e + 1`` at the high
-    end; ``rotations[v]`` lists the darts around v in cyclic order; each
-    face is the dart sequence along one boundary walk.
+    end; ``rotations[v]`` lists the darts around v in cyclic order.
+    Construction raises DessinError unless ``vertex_layer`` has one entry
+    per rotation and every dart sits in exactly one rotation, once.  The
+    faces are derived then, not supplied: each is the dart sequence along
+    one boundary walk (follow the partner dart, then turn to the next dart
+    around its vertex), in order of their least darts.
     """
 
     layers: int
@@ -44,7 +48,26 @@ class Dessin:
     vertex_layer: tuple[int, ...]
     edges: tuple[tuple[int, int, int, int], ...]
     rotations: tuple[tuple[int, ...], ...]
-    faces: tuple[tuple[int, ...], ...]
+    faces: tuple[tuple[int, ...], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        if len(self.vertex_layer) != len(self.rotations):
+            raise DessinError("vertex_layer and rotations differ in length")
+        dart_count = 2 * len(self.edges)
+        rot_next = _rot_next(self.rotations, dart_count)
+        faces = []
+        seen = bytearray(dart_count)
+        for start in range(dart_count):
+            if seen[start]:
+                continue
+            walk = []
+            x = start
+            while not seen[x]:
+                seen[x] = 1
+                walk.append(x)
+                x = rot_next[x ^ 1]
+            faces.append(tuple(walk))
+        object.__setattr__(self, "faces", tuple(faces))
 
     @property
     def n(self) -> int:
@@ -87,13 +110,19 @@ def _edge_index(i: int, k: int, d: int) -> int:
 
 
 def _rot_next(rotations: Sequence[tuple[int, ...]], dart_count: int) -> list[int]:
-    """The dart that follows each dart around its vertex."""
-    nxt = [0] * dart_count
+    """The dart that follows each dart around its vertex.  Raises
+    DessinError unless every dart 0 .. dart_count-1 sits in exactly one
+    rotation, exactly once."""
+    nxt = [-1] * dart_count
     for rot in rotations:
         for dart, after in zip(rot, rot[1:] + rot[:1]):
             if not 0 <= dart < dart_count:
                 raise DessinError(f"dart {dart} is out of range")
+            if nxt[dart] >= 0:
+                raise DessinError(f"dart {dart} sits twice")
             nxt[dart] = after
+    if -1 in nxt:
+        raise DessinError(f"dart {nxt.index(-1)} sits at no vertex")
     return nxt
 
 
@@ -101,9 +130,9 @@ def dessin_from_permutations(taus: tuple[Perm, ...]) -> Dessin:
     """Build the layered graph of a transitive tuple tau_1..tau_{n-1}.
 
     Vertices in layer i are the cycles of tau_i; edge (i, k) joins the
-    layer-i and layer-(i+1) cycles containing k.  Faces are the orbits
-    of the boundary walk of the rotation system, so the Euler count
-    V - E + F is that of the closed-up surface.
+    layer-i and layer-(i+1) cycles containing k.  The faces Dessin
+    derives are the orbits of the boundary walk of the rotation system,
+    so the Euler count V - E + F is that of the closed-up surface.
     """
     if len(taus) < 2:
         raise ValueError("a dessin needs at least two layers (n >= 3)")
@@ -132,31 +161,12 @@ def dessin_from_permutations(taus: tuple[Perm, ...]) -> Dessin:
         vertex_of.append(point_map)
     edges = [(i, k, vertex_of[i - 1][k], vertex_of[i][k])
              for i in range(1, n - 1) for k in range(d)]
-
-    # boundary walk: follow the partner dart, then turn to the next dart
-    # around its vertex
-    dart_count = 2 * len(edges)
-    rot_next = _rot_next(rotations, dart_count)
-    faces = []
-    seen = bytearray(dart_count)
-    for start in range(dart_count):
-        if seen[start]:
-            continue
-        walk = []
-        x = start
-        while not seen[x]:
-            seen[x] = 1
-            walk.append(x)
-            x = rot_next[x ^ 1]
-        faces.append(tuple(walk))
-
     return Dessin(
         layers=n - 1,
         degree=d,
         vertex_layer=tuple(vertex_layer),
         edges=tuple(edges),
         rotations=tuple(rotations),
-        faces=tuple(faces),
     )
 
 
@@ -167,23 +177,19 @@ def permutations_from_dessin(dsn: Dessin) -> tuple[Perm, ...]:
     vertex onward, rotation order; around a middle vertex the high dart
     of edge (i-1, k) is followed by the low dart of edge (i, k), which
     passes each number up.  Different anchors give simultaneously
-    conjugate outputs.  Raises DessinError unless the rotations are the
-    dessin of the returned tuple: every dart sits at one vertex, a
-    layer-i vertex carries only high darts of layer i-1 and low darts of
-    layer i, alternating around a middle vertex, no rotation is empty,
-    layer 1 carries d edges and the tuple is transitive.
+    conjugate outputs.  Dart placement was checked when dsn was built;
+    this raises DessinError unless the rotations are laid out as the
+    dessin of the returned tuple: a layer-i vertex carries only high
+    darts of layer i-1 and low darts of layer i, alternating around a
+    middle vertex, no rotation is empty, layer 1 carries d edges and the
+    tuple is transitive.
     """
     n, d = dsn.n, dsn.degree
-    dart_count = 2 * dsn.edge_count
-    seen = bytearray(dart_count)
     first: list[int] = []  # layer-1 edges in numbering order
-    for i, rot in zip(dsn.vertex_layer, dsn.rotations, strict=True):
+    for i, rot in zip(dsn.vertex_layer, dsn.rotations):
         if not rot:
             raise DessinError(f"a layer-{i} vertex has an empty rotation")
         for dart in rot:
-            if not 0 <= dart < dart_count or seen[dart]:
-                raise DessinError(f"dart {dart} is out of range or sits twice")
-            seen[dart] = 1
             layer = dsn.edges[dart // 2][0]
             if not (1 <= layer <= n - 2 and layer + (dart & 1) == i):
                 raise DessinError(f"dart {dart} does not belong at a layer-{i} vertex")
@@ -191,12 +197,10 @@ def permutations_from_dessin(dsn: Dessin) -> tuple[Perm, ...]:
             raise DessinError(f"edges do not alternate around a layer-{i} vertex")
         if i == 1:
             first.extend(dart // 2 for dart in rot)
-    if not all(seen):
-        raise DessinError("a dart sits at no vertex")
     if len(first) != d:
         raise DessinError("layer 1 does not carry exactly d edges")
 
-    rot_next = _rot_next(dsn.rotations, dart_count)
+    rot_next = _rot_next(dsn.rotations, 2 * dsn.edge_count)
     chain = [first]  # chain[i-1][k] is edge (i, k)
     for _ in range(n - 3):
         chain.append([rot_next[2 * e + 1] // 2 for e in chain[-1]])
@@ -212,35 +216,14 @@ def permutations_from_dessin(dsn: Dessin) -> tuple[Perm, ...]:
     return tuple(taus)
 
 
-def _faces_are_walks(dsn: Dessin) -> bool:
-    """The faces are the boundary walks of the rotations: every dart lies
-    on exactly one face, and each step of a face, the last back to the
-    first included, goes x -> rot_next[x ^ 1]."""
-    dart_count = 2 * dsn.edge_count
-    rot_next = _rot_next(dsn.rotations, dart_count)
-    seen = bytearray(dart_count)
-    for walk in dsn.faces:
-        if not walk or not 0 <= walk[-1] < dart_count:
-            return False
-        x = walk[-1]
-        for y in walk:
-            if not 0 <= y < dart_count or seen[y] or rot_next[x ^ 1] != y:
-                return False
-            seen[y] = 1
-            x = y
-    return all(seen)
-
-
 def validate_against_datum(dsn: Dessin, datum: BranchDatum) -> bool:
     """Valences and face lengths match the datum's partitions (end layers
     plainly, middle layers doubled, faces scaled by 2(n-2)) and the
-    Euler-derived surface is the datum's cover.  False as well when a
-    rotation dart is out of range or the faces are not boundary walks."""
+    Euler-derived surface is the datum's cover.  The faces are the
+    boundary walks Dessin derived at construction, so they are read as
+    they are."""
     n = dsn.n
-    try:
-        if datum.n != n or datum.degree != dsn.degree or not _faces_are_walks(dsn):
-            return False
-    except DessinError:
+    if datum.n != n or datum.degree != dsn.degree:
         return False
     scale = 2 * (n - 2)
     derived = []
@@ -267,10 +250,8 @@ def checkerboard_coloring(dsn: Dessin) -> Optional[dict[int, int]]:
     """Two-color the faces of a sphere dessin so every edge separates
     colors.  Returns None as soon as some vertex has odd valence; with
     all valences even the coloring exists and is unique up to swapping
-    the two colors.  Raises DessinError when a rotation dart is out of
-    range or the faces are not the boundary walks of the rotations."""
-    if not _faces_are_walks(dsn):
-        raise DessinError("the faces are not the boundary walks of the rotations")
+    the two colors.  The faces are the boundary walks Dessin derived at
+    construction, so they are read as they are."""
     if dsn.euler_characteristic != 2:
         raise ValueError("checkerboard coloring is defined on the sphere")
     if any(len(rot) % 2 for rot in dsn.rotations):
@@ -313,8 +294,9 @@ def canonical_form(dsn: Dessin) -> tuple:
     isomorphism keeps each dart's (layer, side) label, so it maps these
     anchors onto each other; the dessin is connected, so the walk from
     any one anchor reaches every dart and the least encoding is still a
-    complete invariant.  Raises DessinError when a rotation dart is out
-    of range, no edge lies in layer 1 or the walk misses a dart.
+    complete invariant.  Dart placement was checked when dsn was built;
+    this raises DessinError when no edge lies in layer 1 or the walk
+    misses a dart.
     """
     dart_count = 2 * dsn.edge_count
     rot_next = _rot_next(dsn.rotations, dart_count)

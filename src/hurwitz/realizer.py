@@ -234,9 +234,14 @@ def _class_table(t: tuple[int, ...]) -> np.ndarray:
 def _anchored_reps(anchor: tuple[int, ...], t: tuple[int, ...]) -> np.ndarray:
     """Orbit representatives of class t under conjugation by the
     centralizer of class_representative(anchor): one per orbit, the
-    first in canonical class order."""
+    first in canonical class order.  Raises RuntimeError when a
+    generator does not commute with that representative: it would merge
+    orbits and drop representatives the walk needs."""
     if (anchor, t) not in _reps_cache:
+        rep = class_representative(anchor)
         zgens = centralizer_generators(anchor)
+        if any(conjugate(rep, z) != rep for z in zgens):
+            raise RuntimeError("a generator is outside the anchor's centralizer")
         cls = _class_table(t)
         reps = cls[_orbit_firsts_vectorized(cls, zgens, sum(t))]
         _reps_cache[anchor, t] = reps
@@ -256,15 +261,11 @@ def _orbit_firsts_vectorized(cls: np.ndarray, zgens: list[Perm], d: int) -> list
     n = len(cls)
     keys = _row_keys(cls, d)
     order = _key_order(keys)
-    sorted_keys = keys[:, order]
     maps = []
     for z in zgens:
-        # conjugation permutes the class, so sorting the conjugates' keys
-        # lines them up with sorted_keys
-        conj_keys = _row_keys(cls, d, z)
-        conj_order = _key_order(conj_keys)
-        if not np.array_equal(conj_keys[:, conj_order], sorted_keys):
-            raise RuntimeError("conjugate left its class: centralizer is wrong")
+        # conjugation permutes the class, so the conjugates' keys sort
+        # into the same sequence as the rows' own
+        conj_order = _key_order(_row_keys(cls, d, z))
         m = np.empty(n, dtype=np.intp)
         m[conj_order] = order
         maps.append(m)

@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import canonical_form_reference, encode_from, layer1_anchors
 from hurwitz import dessin
-from hurwitz.core import SPHERE, TORUS, parse_datum
+from hurwitz.core import SPHERE, parse_datum
 from hurwitz.dessin import (
+    Dessin,
     DessinError,
     canonical_form,
     checkerboard_coloring,
@@ -89,6 +90,11 @@ class TestConstruction:
             assert len(rot) % 2 == 0
             layers = [dsn.edges[dart // 2][0] for dart in rot]
             assert layers == [1, 2] * (len(rot) // 2)
+
+    def test_derived_faces(self):
+        # boundary walks in order of their least darts, each from that dart
+        assert dessin_from_permutations(EVEN_TAUS).faces == ((0, 5, 6, 3), (1, 2, 7, 4))
+        assert dessin_from_permutations(S4_TAUS).faces == ((0, 5, 6, 7), (1, 2), (3, 4))
 
     def test_face_length_sum(self):
         for taus in (
@@ -189,7 +195,9 @@ class TestValidate:
 
 
 class TestFaces:
-    # faces of EVEN_TAUS: (0, 5, 6, 3) and (1, 2, 7, 4)
+    """Faces are derived from the rotations at construction; no face list,
+    faulty or not, can be supplied in their place."""
+
     FACE_FAULTS = {
         "one-dart face": ((0,),),
         "reversed walk": ((3, 6, 5, 0), (4, 7, 2, 1)),
@@ -205,29 +213,29 @@ class TestFaces:
         "negative dart": ((0, 5, 6, 3), (1, -4, 7, 4)),
     }
 
+    @staticmethod
+    def refuse_faces(dsn, faces):
+        fields = {f.name: getattr(dsn, f.name) for f in dataclasses.fields(dsn) if f.init}
+        with pytest.raises(TypeError):
+            Dessin(**fields, faces=faces)
+        with pytest.raises(ValueError):
+            dataclasses.replace(dsn, faces=faces)
+
     @pytest.mark.parametrize("fault", FACE_FAULTS)
     def test_faces_not_walks_refused(self, fault):
         dsn = dessin_from_permutations(EVEN_TAUS)
+        self.refuse_faces(dsn, self.FACE_FAULTS[fault])
         assert dsn.faces == ((0, 5, 6, 3), (1, 2, 7, 4))
-        datum = parse_datum("d=4 cover=O0 base=O0 parts=[2,2|2,2|2,2]")
-        assert validate_against_datum(dsn, datum)
-        assert checkerboard_coloring(dsn) is not None
-        mutant = dataclasses.replace(dsn, faces=self.FACE_FAULTS[fault])
-        assert not validate_against_datum(mutant, datum)
-        with pytest.raises(DessinError, match="boundary walks"):
-            checkerboard_coloring(mutant)
 
     def test_one_dart_face_misreads_surface(self):
-        """A single one-dart face makes the Euler count read the torus, so
-        neither the datum check nor the coloring may trust it."""
+        """A single one-dart face would make the Euler count read the
+        torus; the derived faces keep the sphere."""
         dsn = dessin_from_permutations(S4_TAUS)
-        mutant = dataclasses.replace(dsn, faces=((0,),))
-        assert (dsn.surface, mutant.surface) == (SPHERE, TORUS)
-        for cover in ("O0", "O1"):
+        self.refuse_faces(dsn, ((0,),))
+        assert dsn.surface == SPHERE
+        for cover, want in (("O0", True), ("O1", False)):
             datum = parse_datum(f"d=4 cover={cover} base=O0 parts=[4|3,1|2,1,1]")
-            assert not validate_against_datum(mutant, datum)
-        with pytest.raises(DessinError):
-            checkerboard_coloring(mutant)
+            assert validate_against_datum(dsn, datum) is want
 
 
 class TestMalformed:
@@ -248,7 +256,6 @@ class TestMalformed:
                 tuple(rot) if v == target else dsn.rotations[v]
                 for v in range(dsn.vertex_count)
             ),
-            faces=dsn.faces,
         )
         with pytest.raises(DessinError):
             permutations_from_dessin(broken)
@@ -256,7 +263,9 @@ class TestMalformed:
     # darts of LAYERED: layer-1 vertex 0 (0, 2, 4, 6); layer-2 vertices
     # 1 (1, 8, 5, 12) and 2 (3, 10, 7, 14); layer-3 vertices 3 (9, 11),
     # 4 (13,) and 5 (15,).  Integer keys replace rotations, string keys
-    # replace Dessin fields.
+    # replace Dessin fields.  Misplaced darts and a vertex_layer of the
+    # wrong length are refused at construction, layout faults by the
+    # inverse.
     LAYOUT_FAULTS = {
         "repeated dart": {1: (0, 8, 5, 12)},
         "missing dart": {3: (9,)},
@@ -268,6 +277,8 @@ class TestMalformed:
         "empty rotation": {4: (), 5: (15, 13)},
         "vertex layer 0": {"vertex_layer": (1, 2, 2, 3, 0, 3)},
         "vertex layer n": {"vertex_layer": (1, 2, 2, 3, 4, 3)},
+        "extra vertex layer": {"vertex_layer": (1, 2, 2, 3, 3, 3, 1)},
+        "vertex layer short": {"vertex_layer": (1, 2, 2, 3, 3)},
         "layer 1 short of d": {"degree": 5},
     }
 
@@ -280,9 +291,27 @@ class TestMalformed:
         )
         rotations = tuple(change.get(v, rot) for v, rot in enumerate(dsn.rotations))
         fields = {k: v for k, v in change.items() if isinstance(k, str)}
-        mutant = dataclasses.replace(dsn, rotations=rotations, **fields)
         with pytest.raises(DessinError):
-            permutations_from_dessin(mutant)
+            permutations_from_dessin(dataclasses.replace(dsn, rotations=rotations, **fields))
+
+    def test_every_dart_overwrite_refused(self):
+        """Overwriting one dart of LAYERED with another in-range dart
+        repeats one dart and drops one: all 240 such systems are refused
+        when built.  The one with first rotation (2, 2, 4, 6) had the
+        canonical form of the dessin of ((2 3 4), (1 2)(3 4), (1 4))."""
+        dsn = dessin_from_permutations(LAYERED)
+        refused = 0
+        for v, rot in enumerate(dsn.rotations):
+            for i, dart in enumerate(rot):
+                for other in range(2 * dsn.edge_count):
+                    if other == dart:
+                        continue
+                    rotations = list(dsn.rotations)
+                    rotations[v] = rot[:i] + (other,) + rot[i + 1:]
+                    with pytest.raises(DessinError, match="sits"):
+                        dataclasses.replace(dsn, rotations=tuple(rotations))
+                    refused += 1
+        assert refused == 240
 
     def test_disconnected(self, monkeypatch):
         t = parse_cycles("(1 2)", 4)
@@ -299,13 +328,8 @@ class TestMalformed:
         # -1 would alias dart 7, the one it replaces
         dsn = dessin_from_permutations(S4_TAUS)
         assert dsn.rotations == ((0, 2, 4, 6), (1, 5, 3), (7,))
-        mutant = dataclasses.replace(dsn, rotations=((0, 2, 4, 6), (1, 5, 3), (dart,)))
-        datum = parse_datum("d=4 cover=O0 base=O0 parts=[4|3,1|2,1,1]")
-        assert validate_against_datum(dsn, datum)
-        assert not validate_against_datum(mutant, datum)
-        for check in (checkerboard_coloring, canonical_form):
-            with pytest.raises(DessinError, match="out of range"):
-                check(mutant)
+        with pytest.raises(DessinError, match="out of range"):
+            dataclasses.replace(dsn, rotations=((0, 2, 4, 6), (1, 5, 3), (dart,)))
 
     def test_canonical_form_needs_layer_one(self):
         dsn = dessin_from_permutations(S4_TAUS)
@@ -353,8 +377,8 @@ def transitive_tuples(draw, low=3, high=7):
 def test_inverse_accepts_exactly_dessins(taus, kind, rng):
     """A mutated rotation system is refused, or it is the dessin of the
     transitive tuple read back."""
-    mutant = mutate(dessin_from_permutations(taus), kind, rng)
     try:
+        mutant = mutate(dessin_from_permutations(taus), kind, rng)
         back = permutations_from_dessin(mutant)
     except DessinError:
         return

@@ -351,6 +351,19 @@ class TestClassTable:
             checked += 1
         assert checked == 473
 
+    def test_generator_outside_the_centralizer_is_refused(self, monkeypatch):
+        anchor, t = (2, 2, 1, 1), (3, 1, 1, 1)
+        rogue = (1, 2, 0, 3, 4, 5)  # does not commute with the anchor
+        zgens = centralizer_generators(anchor)
+        table = realizer._class_table(t)
+        # the orbit reduction alone cannot tell: the rogue merges orbits
+        assert len(realizer._orbit_firsts_vectorized(table, zgens, 6)) == 4
+        assert len(realizer._orbit_firsts_vectorized(table, zgens + [rogue], 6)) == 3
+        monkeypatch.setattr(realizer, "_reps_cache", {})
+        monkeypatch.setattr(realizer, "centralizer_generators", lambda a: zgens + [rogue])
+        with pytest.raises(RuntimeError, match="centralizer"):
+            realizer._anchored_reps(anchor, t)
+
     def test_conjugate_keys_read_off_the_table(self):
         rng = random.Random(5)
         types = [t for t in TYPES_TO_9 if sum(t) >= 2]
