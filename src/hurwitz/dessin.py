@@ -40,7 +40,8 @@ class Dessin:
     per rotation and every dart sits in exactly one rotation, once.  The
     faces are derived then, not supplied: each is the dart sequence along
     one boundary walk (follow the partner dart, then turn to the next dart
-    around its vertex), in order of their least darts.
+    around its vertex), in order of their least darts.  ``rot_next[x]``,
+    derived with them, is the dart after x around its vertex.
     """
 
     layers: int
@@ -49,6 +50,7 @@ class Dessin:
     edges: tuple[tuple[int, int, int, int], ...]
     rotations: tuple[tuple[int, ...], ...]
     faces: tuple[tuple[int, ...], ...] = field(init=False)
+    rot_next: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.vertex_layer) != len(self.rotations):
@@ -68,6 +70,7 @@ class Dessin:
                 x = rot_next[x ^ 1]
             faces.append(tuple(walk))
         object.__setattr__(self, "faces", tuple(faces))
+        object.__setattr__(self, "rot_next", tuple(rot_next))
 
     @property
     def n(self) -> int:
@@ -200,7 +203,7 @@ def permutations_from_dessin(dsn: Dessin) -> tuple[Perm, ...]:
     if len(first) != d:
         raise DessinError("layer 1 does not carry exactly d edges")
 
-    rot_next = _rot_next(dsn.rotations, 2 * dsn.edge_count)
+    rot_next = dsn.rot_next
     chain = [first]  # chain[i-1][k] is edge (i, k)
     for _ in range(n - 3):
         chain.append([rot_next[2 * e + 1] // 2 for e in chain[-1]])
@@ -299,7 +302,7 @@ def canonical_form(dsn: Dessin) -> tuple:
     misses a dart.
     """
     dart_count = 2 * dsn.edge_count
-    rot_next = _rot_next(dsn.rotations, dart_count)
+    rot_next = dsn.rot_next
     layer = [edge[0] for edge in dsn.edges for _ in (0, 1)]
     walks = []  # per surviving anchor: (order, queue), order[x] = -1 until met
     for x in range(0, dart_count, 2):

@@ -446,6 +446,17 @@ class TestScans:
                 assert got == [("out of budget", None, limit)] * 4, (line, limit)
 
 
+def _watch_streaming(monkeypatch):
+    """A list that gets, for each plan entry the search reads rows of,
+    whether it is a cycle type, whose class is streamed."""
+    streamed = []
+    chunks = realizer._row_chunks
+    monkeypatch.setattr(
+        realizer, "_row_chunks", lambda s: streamed.append(type(s) is tuple) or chunks(s)
+    )
+    return streamed
+
+
 class TestStreamedClasses:
     @pytest.fixture(autouse=True)
     def no_class_iterator(self, monkeypatch):
@@ -461,22 +472,73 @@ class TestStreamedClasses:
             ("d=12 cover=O0 base=O0 parts=[6,3,3|5,2,2,2,1|2,2,2,2,2,2]", 2_035_756),
         ],
     )
-    def test_class_above_the_cache_bound(self, line, nodes):
+    def test_class_above_the_cache_bound(self, monkeypatch, line, nodes):
         # the middle class takes more than _CACHE_BYTES, so the walk
-        # streams it
+        # streams it; with no class small enough to orbit-reduce, the
+        # swap-anchor decider stands aside and the walk runs
+        monkeypatch.setattr(realizer, "_REDUCTION_LIMIT", 0)
+        streamed = _watch_streaming(monkeypatch)
         assert search(parse_datum(line)) == realizer.SearchResult(EXHAUSTED, None, nodes)
+        assert any(streamed)
 
     def test_streamed_outcomes_equal_cached_ones(self, monkeypatch):
         data = [datum for d in range(2, 7) for datum in enumerate_compatible(d, range(5))]
         want = [search(datum) for datum in data]
-        streamed = []
-        chunks = realizer._row_chunks
-        monkeypatch.setattr(
-            realizer, "_row_chunks", lambda s: streamed.append(type(s) is tuple) or chunks(s)
-        )
+        streamed = _watch_streaming(monkeypatch)
         monkeypatch.setattr(realizer, "_CACHE_BYTES", 0)
         assert [search(datum) for datum in data] == want
         assert any(streamed)
+
+
+class TestSwapAnchor:
+    @pytest.mark.parametrize(
+        "line, nodes",
+        [
+            ("d=12 cover=O0 base=O0 parts=[5,5,2|3,3,3,2,1|2,2,2,2,2,2]", 29_611),
+            ("d=12 cover=O0 base=O0 parts=[6,3,3|5,2,2,2,1|2,2,2,2,2,2]", 39_991),
+        ],
+    )
+    def test_decided_without_the_middle_class(self, monkeypatch, line, nodes):
+        # the hunt misses, then the orbit representatives of (2^6) under
+        # the middle representative's centralizer all miss; the middle
+        # class is never streamed
+        streamed = _watch_streaming(monkeypatch)
+        assert search(parse_datum(line)) == realizer.SearchResult(EXHAUSTED, None, nodes)
+        assert not any(streamed)
+
+    def test_budget_one_short_is_never_exhausted(self):
+        datum = parse_datum("d=12 cover=O1 base=O0 parts=[7,5|3,3,3,3|2,2,2,2,2,2]")
+        full = search(datum)
+        assert full == realizer.SearchResult(EXHAUSTED, None, 4_945)
+        assert search(datum, budget=full.nodes).status == EXHAUSTED
+        for limit in (0, 4_928, full.nodes - 1):  # 4,928 nodes: the hunt's
+            assert search(datum, budget=limit).status == BUDGET_EXCEEDED, limit
+
+    # at limit 20 the decider runs on 20 data (2 exceptional, both d=6),
+    # at 400 on 157 (10 exceptional, all d=8); numpy_min 0 scans in numpy
+    @pytest.mark.parametrize(
+        "limit, numpy_min, misses, runs",
+        [(20, realizer._NUMPY_MIN, 2, 20), (400, realizer._NUMPY_MIN, 10, 157), (400, 0, 10, 157)],
+    )
+    def test_agrees_with_the_walk(self, monkeypatch, limit, numpy_min, misses, runs):
+        data = [x for d in range(3, 9) for x in enumerate_compatible(d, [3])]
+        want = [search(datum).status for datum in data]
+        monkeypatch.setattr(realizer, "_REDUCTION_LIMIT", limit)
+        monkeypatch.setattr(realizer, "_NUMPY_MIN", numpy_min)
+        hits = []
+        swap_hits = realizer._swap_hits
+        monkeypatch.setattr(
+            realizer, "_swap_hits", lambda *args: hits.append(swap_hits(*args)) or hits[-1]
+        )
+        got = [search(datum) for datum in data]
+        assert [res.status for res in got] == want
+        assert (hits.count(False), len(hits)) == (misses, runs)
+        # a hit falls through to the walk, which keeps its witness and nodes
+        monkeypatch.setattr(realizer, "_swap_hits", lambda *args: True)
+        walked = [search(datum) for datum in data]
+        for datum, res, ref in zip(data, got, walked):
+            if res.status == FOUND:
+                assert res == ref, format_datum(datum)
 
 
 def _hunt_args(line):
