@@ -35,7 +35,6 @@ from .realizer import (
     Realization,
     SearchResult,
     WitnessCheckError,
-    reduce_projective,
     search,
     verify_witness,
 )
@@ -52,6 +51,7 @@ from .blocks import (
     cycle_type_block_groupings,
     factor_covering,
     find_block_decomposition,
+    reduce_projective,
     verify_filtration,
 )
 from .catalog import CatalogRecord, enumerate_compatible, run_catalog

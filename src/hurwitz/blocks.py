@@ -4,16 +4,23 @@ A block decomposition of order k partitions {1..d} into d/k blocks of k
 elements each, permuted coherently by every generator.  Finding one shows
 the witnessed covering decomposes as an inner covering of degree k over
 an intermediate surface followed by an outer covering of degree d/k.
+
+An orientable cover of the projective plane factors through the
+orientation double cover S^2 -> RP^2, which is a block system of order
+d/2 whose two blocks every local monodromy keeps.  So reduce_projective
+splits each branching partition by its order-d/2 groupings with induced
+cycles of length 1, and decides the datum by the sphere data of halved
+degree that the splits give (Edmonds-Kulkarni-Stong).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import product
 from typing import Iterator, Sequence
 
-from .core import BranchDatum, Partition, SPHERE, surface_from_euler
+from .core import PROJECTIVE, SPHERE, BranchDatum, Partition, infer_cover
 from .perms import Perm, cycles, cycle_type, is_transitive
 from .realizer import Realization, verify_witness
 
@@ -63,36 +70,36 @@ def cycle_type_block_groupings(
     part sum s contributes an induced cycle of length p = s/k, and every
     part in it must be a multiple of p.  Yields each grouping once, as a
     sorted tuple of (group parts, p) pairs.
+
+    The largest part left opens the next group, and its companions are
+    chosen as a count per part value, so each distinct group is tried
+    once; groups are taken largest first, no group above the one before
+    it, so each grouping is reached once.  Groupings come in descending
+    lexicographic order of their groups read largest first, that is of
+    the reversed yielded tuples.
     """
     d = sum(t)
     if d % k or not 1 < k < d:
         raise ValueError("block size must properly divide the degree")
-    parts = sorted(t, reverse=True)
-    seen: set[tuple] = set()
+    values = sorted(set(t), reverse=True)
 
-    def rec(remaining: list[int], groups: list[tuple[tuple[int, ...], int]]):
-        if not remaining:
-            key = tuple(sorted(groups))
-            if key not in seen:
-                seen.add(key)
-                yield key
+    def rec(counts: list[int], cap: tuple[int, ...], groups: list):
+        if not any(counts):
+            yield tuple(sorted(groups))
             return
-        anchor = remaining[0]
-        rest = remaining[1:]
-        # the anchor always joins the next group; choose its companions
-        for r in range(len(rest) + 1):
-            for combo in combinations(range(len(rest)), r):
-                group = [anchor] + [rest[i] for i in combo]
-                s = sum(group)
-                if s % k:
-                    continue
-                p = s // k
-                if any(x % p for x in group):
-                    continue
-                left = [rest[i] for i in range(len(rest)) if i not in combo]
-                yield from rec(left, groups + [(tuple(sorted(group, reverse=True)), p)])
+        i = next(j for j, c in enumerate(counts) if c)  # the anchor's value
+        rest = counts.copy()
+        rest[i] -= 1
+        # companion counts run downwards, so groups come largest first
+        for take in product(*(range(c, -1, -1) for c in rest)):
+            group = (values[i],) + tuple(v for v, c in zip(values, take) for _ in range(c))
+            s = sum(group)
+            if group > cap or s % k or any(x % (s // k) for x in group):
+                continue
+            left = [c - x for c, x in zip(rest, take)]
+            yield from rec(left, group, groups + [(group, s // k)])
 
-    yield from rec(parts, [])
+    yield from rec([t.count(v) for v in values], (d,), [])  # no group exceeds (d,)
 
 
 def induced_cycle_type(grouping: tuple[tuple[tuple[int, ...], int], ...]) -> tuple[int, ...]:
@@ -224,8 +231,8 @@ def factor_covering(
     surface with degree k and one branch point per induced cycle; the
     outer datum is the induced action on blocks, degree d/k.  Trivial
     partitions arising on either side are dropped with the branch count
-    adjusted.  The intermediate surface is read off the outer datum by
-    the Euler-count condition.
+    adjusted.  The intermediate surface is the cover infer_cover reads
+    off the outer datum; a non-orientable base is refused.
     """
     d = datum.degree
     k = bd.size
@@ -236,14 +243,12 @@ def factor_covering(
         outer_parts.append(induced_cycle_type(grouping))
         inner_parts.extend(tuple(x // p for x in group) for group, p in grouping)
 
-    outer_kept = [t for t in outer_parts if any(x > 1 for x in t)]
-    n_out = len(outer_kept)
-    nt_out = sum(len(t) for t in outer_kept)
-    chi_mid = nt_out + (d // k) * (datum.base.euler_characteristic - n_out)
-    mid = surface_from_euler(chi_mid, True) if datum.base.orientable else None
-    if mid is None:
+    outer_kept = tuple(Partition(t) for t in outer_parts if any(x > 1 for x in t))
+    mids = infer_cover(datum.base, len(outer_kept), d // k, outer_kept)
+    if not datum.base.orientable or not mids:
         raise ValueError("block system does not induce a closed intermediate surface")
-    outer = BranchDatum(mid, datum.base, d // k, tuple(Partition(t) for t in outer_kept))
+    mid = mids[0]
+    outer = BranchDatum(mid, datum.base, d // k, outer_kept)
 
     inner_kept = tuple(
         Partition(t) for t in inner_parts if any(x > 1 for x in t)
@@ -276,3 +281,42 @@ def verify_filtration(datum: BranchDatum, realization: Realization) -> bool:
             if sorted(cycle_type(induced_permutation(bd, tau)) for tau in gens) == want:
                 return True
     return False
+
+
+def reduce_projective(datum: BranchDatum) -> Iterator[BranchDatum]:
+    """Rewrite a datum over the projective plane with orientable cover as
+    the stream of sphere data it is equivalent to.
+
+    Each branching partition is split into two halves of d/2 (it refines
+    (d/2, d/2) by compatibility): its groupings for blocks of size d/2
+    whose induced cycles all have length 1, the larger half first, in
+    descending order.  Every combination of splits yields one datum over
+    the sphere with doubled branching points and halved degree, trivial
+    halves dropped, each datum once.  The original datum is realizable
+    iff at least one yielded datum is.
+    """
+    if datum.base != PROJECTIVE:
+        raise ValueError("reduction applies to base = projective plane")
+    if not datum.cover.orientable:
+        raise ValueError("non-orientable covers of the projective plane "
+                         "are handled directly, not by reduction")
+    if datum.degree % 2 or datum.degree < 4:
+        raise ValueError("reduction needs an even degree of at least 4")
+    half = datum.degree // 2
+    options = [
+        sorted(
+            (tuple(h for h, _ in reversed(g))
+             for g in cycle_type_block_groupings(p.parts, half)
+             if all(q == 1 for _, q in g)),
+            reverse=True,
+        )
+        for p in datum.partitions
+    ]
+    seen: set[BranchDatum] = set()
+    for combo in product(*options):
+        halves = [h for pair in combo for h in pair]
+        kept = tuple(Partition(h) for h in halves if any(x > 1 for x in h))
+        reduced = BranchDatum(datum.cover, SPHERE, half, kept)
+        if reduced not in seen:
+            seen.add(reduced)
+            yield reduced

@@ -23,12 +23,12 @@ from .criteria import (
     UNKNOWN,
     Verdict,
     classify,
+    search_verdict,
 )
 from .catalog import enumerate_compatible, format_witness, run_catalog, summary_lines
 from .dessin import dessin_from_permutations, export_lines
 from .blocks import factor_covering, find_block_decomposition
 from .perms import format_cycles
-from . import realizer
 
 
 def _verdict_line(datum, verdict: Verdict) -> str:
@@ -116,15 +116,12 @@ def _search_witness(args, refusal: str, min_n: int = 0, block_size: int | None =
     if block_size is not None and (not 1 < block_size < d or d % block_size):
         print(f"--k {block_size} is not a proper divisor of d={d}")
         return datum, None, 2
-    result = realizer.search(datum, args.budget)
-    if result.status == realizer.BUDGET_EXCEEDED:
-        print(f"{format_datum(datum)} UNKNOWN tag=budget-exceeded")
-        return datum, None, 3
-    if result.status == realizer.EXHAUSTED:
-        print(f"{format_datum(datum)} EXCEPTIONAL tag=search-exhausted")
-        return datum, None, 0
-    _print_taus(result.realization.taus)
-    return datum, result.realization, 0
+    verdict = search_verdict(datum, args.budget)
+    if verdict.witness is None:
+        print(_verdict_line(datum, verdict))
+        return datum, None, _exit_code(verdict)
+    _print_taus(verdict.witness.taus)
+    return datum, verdict.witness, 0
 
 
 def _cmd_dessin(args) -> int:

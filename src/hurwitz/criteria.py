@@ -26,13 +26,8 @@ from .core import (
     check_compatibility,
     refines_two_halves,
 )
-from . import realizer
-from .realizer import (
-    DEFAULT_BUDGET,
-    Realization,
-    reduce_projective,
-    search,
-)
+from .blocks import reduce_projective
+from .realizer import DEFAULT_BUDGET, EXHAUSTED, FOUND, Realization, search
 
 INCOMPATIBLE = "incompatible"
 REALIZABLE = "realizable"
@@ -376,6 +371,20 @@ def run_predicates(datum: BranchDatum) -> list[Verdict]:
     return out
 
 
+def search_verdict(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """The verdict of the sphere search on a compatible datum: REALIZABLE
+    search-found with its witness, EXCEPTIONAL search-exhausted, or
+    UNKNOWN budget-exceeded, with the search's nodes."""
+    result = search(datum, budget)
+    if result.status == FOUND:
+        return Verdict(
+            REALIZABLE, ("search-found",), witness=result.realization, nodes=result.nodes
+        )
+    if result.status == EXHAUSTED:
+        return Verdict(EXCEPTIONAL, ("search-exhausted",), nodes=result.nodes)
+    return Verdict(UNKNOWN, ("budget-exceeded",), nodes=result.nodes)
+
+
 def classify(
     datum: BranchDatum,
     budget: int = DEFAULT_BUDGET,
@@ -405,29 +414,17 @@ def classify(
     if fired:
         tags = tuple(t for v in fired for t in v.tags)
         kind = fired[0].kind
-        witness = None
-        nodes = 0
         if kind == REALIZABLE and attach_witness and datum.base == SPHERE:
-            result = search(datum, budget)
-            nodes = result.nodes
-            if result.status == realizer.FOUND:
-                witness = result.realization
-            elif result.status == realizer.EXHAUSTED:
+            searched = search_verdict(datum, budget)
+            if searched.kind == EXCEPTIONAL:
                 raise ConsistencyError(
                     f"search exhausted a datum the rules call realizable: {datum}"
                 )
-        return Verdict(kind, tags, witness=witness, nodes=nodes)
+            return Verdict(kind, tags, witness=searched.witness, nodes=searched.nodes)
+        return Verdict(kind, tags)
 
     if datum.base == SPHERE:
-        result = search(datum, budget)
-        if result.status == realizer.FOUND:
-            return Verdict(
-                REALIZABLE, ("search-found",),
-                witness=result.realization, nodes=result.nodes,
-            )
-        if result.status == realizer.EXHAUSTED:
-            return Verdict(EXCEPTIONAL, ("search-exhausted",), nodes=result.nodes)
-        return Verdict(UNKNOWN, ("budget-exceeded",), nodes=result.nodes)
+        return search_verdict(datum, budget)
 
     if datum.base == PROJECTIVE and datum.cover.orientable:
         if datum.degree == 2:

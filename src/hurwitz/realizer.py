@@ -1,5 +1,9 @@
 """Exhaustive realizability search over the sphere as base surface.
 
+The sphere is the only base searched here: data over the projective
+plane with orientable cover reach it through blocks.reduce_projective,
+and every other base is settled by the rules in criteria.
+
 A datum is realizable iff there are permutations tau_1..tau_n, one per
 branching partition, with the prescribed cycle types, product equal to
 the identity (right factor acting first), and transitive joint action.
@@ -65,13 +69,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import (
-    SPHERE,
-    PROJECTIVE,
-    BranchDatum,
-    Partition,
-    check_compatibility,
-)
+from .core import SPHERE, BranchDatum, check_compatibility
 # class_iterator is not called here; it stays bound in this module only
 # because bench/tracer.py hooks hurwitz.realizer.class_iterator
 from .perms import (
@@ -640,64 +638,3 @@ def _checked(datum: BranchDatum, taus: tuple[Perm, ...]) -> Realization:
     if not verify_witness(datum, realization):
         raise WitnessCheckError(f"search produced an invalid witness for {datum}")
     return realization
-
-
-def _half_splits(p: Partition) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Unordered splittings of a partition into two halves of degree/2,
-    the lexicographically larger half first, each exactly once."""
-    half = p.degree // 2
-    parts = list(p.parts)
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    out = []
-
-    def rec(i: int, chosen: list[int], total: int) -> None:
-        if total == half:
-            a = tuple(sorted(chosen, reverse=True))
-            rest = list(parts)
-            for x in chosen:
-                rest.remove(x)
-            b = tuple(sorted(rest, reverse=True))
-            pair = (a, b) if a >= b else (b, a)
-            if pair not in seen:
-                seen.add(pair)
-                out.append(pair)
-            return
-        if i >= len(parts) or total > half:
-            return
-        # equal parts are taken as a bundle, which dedups sub-multisets
-        j = i
-        while j < len(parts) and parts[j] == parts[i]:
-            j += 1
-        for take in range(j - i, -1, -1):
-            rec(j, chosen + [parts[i]] * take, total + parts[i] * take)
-
-    rec(0, [], 0)
-    return out
-
-
-def reduce_projective(datum: BranchDatum):
-    """Rewrite a datum over the projective plane with orientable cover as
-    the stream of sphere data it is equivalent to.
-
-    Each branching partition is split into two partitions of d/2 (it
-    refines (d/2, d/2) by compatibility); every combination of splits
-    yields one datum over the sphere with doubled branching points and
-    halved degree, trivial halves dropped.  The original datum is
-    realizable iff at least one yielded datum is.
-    """
-    if datum.base != PROJECTIVE:
-        raise ValueError("reduction applies to base = projective plane")
-    if not datum.cover.orientable:
-        raise ValueError("non-orientable covers of the projective plane "
-                         "are handled directly, not by reduction")
-    if datum.degree % 2 or datum.degree < 4:
-        raise ValueError("reduction needs an even degree of at least 4")
-    options = [_half_splits(p) for p in datum.partitions]
-    seen: set[BranchDatum] = set()
-    for combo in itertools.product(*options):
-        halves = [h for pair in combo for h in pair]
-        kept = tuple(Partition(h) for h in halves if any(x > 1 for x in h))
-        reduced = BranchDatum(datum.cover, SPHERE, datum.degree // 2, kept)
-        if reduced not in seen:
-            seen.add(reduced)
-            yield reduced

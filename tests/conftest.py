@@ -137,6 +137,73 @@ def brute_block_systems(gens, k: int) -> list[tuple[tuple[int, ...], ...]]:
     return found
 
 
+def block_groupings_reference(t: tuple[int, ...], k: int) -> list:
+    """What blocks.cycle_type_block_groupings yields, as a set, by
+    choosing the anchor's companions as index combinations and dropping
+    repeated groupings afterwards."""
+    parts = sorted(t, reverse=True)
+    seen: set[tuple] = set()
+    out = []
+
+    def rec(remaining: list[int], groups: list[tuple[tuple[int, ...], int]]):
+        if not remaining:
+            key = tuple(sorted(groups))
+            if key not in seen:
+                seen.add(key)
+                out.append(key)
+            return
+        anchor = remaining[0]
+        rest = remaining[1:]
+        for r in range(len(rest) + 1):
+            for combo in combinations(range(len(rest)), r):
+                group = [anchor] + [rest[i] for i in combo]
+                s = sum(group)
+                if s % k:
+                    continue
+                p = s // k
+                if any(x % p for x in group):
+                    continue
+                left = [rest[i] for i in range(len(rest)) if i not in combo]
+                rec(left, groups + [(tuple(sorted(group, reverse=True)), p)])
+
+    rec(parts, [])
+    return out
+
+
+def half_splits_reference(p: Partition) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The splittings of a partition into two halves of degree/2 that
+    blocks.reduce_projective uses, in its order: the lexicographically
+    larger half first, each unordered pair once, by a recursion that
+    takes equal parts as a bundle."""
+    half = p.degree // 2
+    parts = list(p.parts)
+    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    out = []
+
+    def rec(i: int, chosen: list[int], total: int) -> None:
+        if total == half:
+            a = tuple(sorted(chosen, reverse=True))
+            rest = list(parts)
+            for x in chosen:
+                rest.remove(x)
+            b = tuple(sorted(rest, reverse=True))
+            pair = (a, b) if a >= b else (b, a)
+            if pair not in seen:
+                seen.add(pair)
+                out.append(pair)
+            return
+        if i >= len(parts) or total > half:
+            return
+        j = i
+        while j < len(parts) and parts[j] == parts[i]:
+            j += 1
+        for take in range(j - i, -1, -1):
+            rec(j, chosen + [parts[i]] * take, total + parts[i] * take)
+
+    rec(0, [], 0)
+    return out
+
+
 def encode_from(dsn, start: int) -> tuple:
     """The breadth-first encoding of a dessin from one anchor dart: darts
     numbered as they are met, and per dart x in that order the entry

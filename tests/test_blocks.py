@@ -12,12 +12,22 @@ from hurwitz.blocks import (
     find_block_decomposition,
     induced_cycle_type,
     induced_permutation,
+    reduce_projective,
     verify_filtration,
 )
-from hurwitz.core import check_compatibility, format_datum, parse_datum
+from hurwitz.core import (
+    PROJECTIVE,
+    SPHERE,
+    BranchDatum,
+    check_compatibility,
+    format_datum,
+    parse_datum,
+    partitions_of,
+    refines_two_halves,
+)
 from hurwitz.perms import cycle_type, parse_cycles
 from hurwitz.realizer import FOUND, search
-from conftest import brute_block_systems
+from conftest import block_groupings_reference, brute_block_systems, half_splits_reference
 
 
 class TestGroupings:
@@ -46,6 +56,48 @@ class TestGroupings:
         # every grouping's blocks add up to the degree
         for grouping in got:
             assert sum(sum(g) for g, _ in grouping) == 8
+
+    def test_equals_reference_to_degree_twelve(self):
+        cases = 0
+        for d in range(4, 13):
+            for p in partitions_of(d):
+                for k in range(2, d):
+                    if d % k:
+                        continue
+                    got = list(cycle_type_block_groupings(p.parts, k))
+                    assert len(got) == len(set(got)), (p, k)
+                    assert set(got) == set(block_groupings_reference(p.parts, k)), (p, k)
+                    # the stated order: descending, groups read largest first
+                    assert got == sorted(got, key=lambda g: g[::-1], reverse=True), (p, k)
+                    cases += 1
+        assert cases == 493
+
+    def test_many_equal_parts(self):
+        # fourteen equal parts: companions are counted per value, so
+        # the 2^14 index subsets of the ones are never visited
+        assert list(cycle_type_block_groupings((2,) + (1,) * 14, 8)) == [
+            (((1,) * 8, 1), ((2,) + (1,) * 6, 1))
+        ]
+
+
+class TestReduceProjectiveHalves:
+    def test_halves_equal_reference_to_degree_sixteen(self):
+        # one partition per datum, so the reduced data list its halves,
+        # larger first, trivial halves dropped, in the order of the splits
+        checked = 0
+        for d in range(4, 17, 2):
+            for p in partitions_of(d):
+                if p.is_trivial or not refines_two_halves(p):
+                    continue
+                datum = BranchDatum(SPHERE, PROJECTIVE, d, (p,))
+                got = [tuple(q.parts for q in r.partitions) for r in reduce_projective(datum)]
+                want = [
+                    tuple(h for h in pair if any(x > 1 for x in h))
+                    for pair in half_splits_reference(p)
+                ]
+                assert got == want, p
+                checked += 1
+        assert checked == 350
 
 
 class TestFindDecomposition:
@@ -198,6 +250,14 @@ class TestFactorCovering:
         assert format_datum(inner) == "d=3 cover=O0 base=O0 parts=[3|3]"
         assert check_compatibility(inner).compatible
         assert check_compatibility(outer).compatible
+
+    def test_non_orientable_base_refused(self):
+        datum = parse_datum("d=6 cover=O0 base=O0 parts=[3,3|2,2,2|2,2,2]")
+        res = search(datum)
+        bd = find_block_decomposition(list(res.realization.taus), 3)
+        projective = BranchDatum(datum.cover, PROJECTIVE, 6, datum.partitions)
+        with pytest.raises(ValueError, match="does not induce a closed intermediate surface"):
+            factor_covering(projective, res.realization, bd)
 
     def test_factored_data_compatible_across_witnesses(self):
         from hurwitz import enumerate_compatible

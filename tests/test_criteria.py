@@ -9,6 +9,7 @@ from hurwitz.core import (
     Partition,
     Surface,
     check_compatibility,
+    format_datum,
     parse_datum,
 )
 from hurwitz.criteria import (
@@ -32,6 +33,7 @@ from hurwitz.criteria import (
     thm_odd_divisible,
     thm_projective,
 )
+from hurwitz.blocks import reduce_projective
 from hurwitz.realizer import EXHAUSTED, FOUND, search
 from conftest import make_datum, sphere_datum
 
@@ -341,6 +343,11 @@ class TestClassify:
         v = classify(datum)
         assert v.kind == EXCEPTIONAL and v.tags == ("search-exhausted",)
 
+    def test_attach_witness_out_of_budget(self):
+        datum = parse_datum("d=4 cover=O0 base=O0 parts=[4|3,1|2,1,1]")
+        v = classify(datum, budget=0, attach_witness=True)
+        assert v.kind == REALIZABLE and v.witness is None
+
     def test_unknown_on_budget(self):
         datum = sphere_datum(6, [(3, 3), (3, 3), (2, 2, 1, 1)])
         v = classify(datum, budget=0)
@@ -423,3 +430,39 @@ class TestNoConflict:
                 assert not (REALIZABLE in kinds and EXCEPTIONAL in kinds), datum
                 checked += 1
         assert checked > 50_000
+
+
+class TestProjectiveSweep:
+    def test_orientable_covers_of_the_plane(self):
+        # every compatible datum over N1 with orientable cover, d <= 10, n <= 3
+        from collections import Counter
+
+        from hurwitz import enumerate_compatible
+
+        tags: Counter = Counter()
+        exceptional = []
+        nodes = reduced = 0
+        for d in range(2, 11, 2):
+            for datum in enumerate_compatible(d, range(0, 4), PROJECTIVE):
+                if not datum.cover.orientable:
+                    continue
+                v = classify(datum)
+                tags[v.kind, v.tags] += 1
+                nodes += v.nodes
+                if v.kind == EXCEPTIONAL:
+                    exceptional.append(format_datum(datum))
+                if d >= 4:
+                    reduced += sum(1 for _ in reduce_projective(datum))
+        assert sum(tags.values()) == 1732
+        assert sum(c for (kind, _), c in tags.items() if kind == REALIZABLE) == 1728
+        assert tags[EXCEPTIONAL, ("reduction-exhausted",)] == 4
+        assert tags[REALIZABLE, ("reduction:search-found",)] == 144
+        assert tags[REALIZABLE, ("reduction:orientation-cover",)] == 1
+        assert nodes == 1029
+        assert reduced == 2340
+        assert exceptional == [
+            "d=8 cover=O1 base=N1 parts=[3,2,2,1|2,2,2,2]",
+            "d=8 cover=O0 base=N1 parts=[3,1,1,1,1,1|2,2,2,2]",
+            "d=8 cover=O3 base=N1 parts=[3,2,2,1|2,2,2,2|2,2,2,2]",
+            "d=8 cover=O2 base=N1 parts=[3,1,1,1,1,1|2,2,2,2|2,2,2,2]",
+        ]

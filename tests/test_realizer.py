@@ -10,6 +10,7 @@ import pytest
 
 import hurwitz
 from hurwitz import enumerate_compatible, realizer
+from hurwitz.blocks import reduce_projective
 from hurwitz.core import (
     PROJECTIVE,
     SPHERE,
@@ -36,7 +37,6 @@ from hurwitz.realizer import (
     FOUND,
     Realization,
     WitnessCheckError,
-    reduce_projective,
     search,
     verify_witness,
 )
