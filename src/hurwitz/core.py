@@ -57,7 +57,7 @@ class Partition:
         return self.parts[i]
 
     def __str__(self) -> str:
-        return ",".join(str(x) for x in self.parts)
+        return ",".join(map(str, self.parts))
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,7 +155,7 @@ class BranchDatum:
     @property
     def n_tilde(self) -> int:
         """Total number of preimages of branching points."""
-        return sum(len(p) for p in self.partitions)
+        return sum(len(p.parts) for p in self.partitions)
 
     def __str__(self) -> str:
         return format_datum(self)
@@ -270,7 +270,7 @@ def format_datum(datum: BranchDatum) -> str:
 
     Grammar: ``d=<int> cover=<SURF> base=<SURF> parts=[p1,p2,...|q1,...]``.
     """
-    body = "|".join(str(p) for p in datum.partitions)
+    body = "|".join(map(str, datum.partitions))
     return f"d={datum.degree} cover={datum.cover.token} base={datum.base.token} parts=[{body}]"
 
 

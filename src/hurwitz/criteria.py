@@ -118,7 +118,7 @@ def thm_full_cycle(datum: BranchDatum) -> Verdict | None:
     """A partition equal to (d) alone makes a sphere datum realizable."""
     if datum.base != SPHERE:
         return None
-    if any(len(p) == 1 for p in datum.partitions):
+    if any(len(p.parts) == 1 for p in datum.partitions):
         return _fire(REALIZABLE, "Thm-full-cycle")
     return None
 
@@ -162,7 +162,7 @@ def prop_baranski(datum: BranchDatum) -> Verdict | None:
     if datum.cover != SPHERE or datum.base != SPHERE:
         return None
     d = datum.degree
-    ms = [len(p) for p in datum.partitions]
+    ms = [len(p.parts) for p in datum.partitions]
     tags = []
     # subset-sum over (subset size r, preimage total): fire on equality
     # m_{i1}+...+m_{ir} = (r-1)d + 1 for any subset, any r
@@ -433,7 +433,7 @@ def classify(
         nodes = 0
         saw_unknown = False
         for reduced in reduce_projective(datum):
-            sub = classify(reduced, budget)
+            sub = classify(reduced, budget - nodes)
             nodes += sub.nodes
             if sub.kind == REALIZABLE:
                 tag = "reduction:" + (sub.tags[0] if sub.tags else "")

@@ -203,11 +203,20 @@ def random_permutation(d: int, rng) -> Perm:
 
 
 def format_cycles(p: Perm) -> str:
+    """The 1-based cycle notation of p, cycles in the order of cycles(p),
+    fixed points left out, each cycle's string built in one pass."""
+    seen = bytearray(len(p))
     parts = []
-    for cyc in cycles(p):
-        if len(cyc) > 1:
-            parts.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
-    return "".join(parts) if parts else "()"
+    for i, j in enumerate(p):
+        if j == i or seen[i]:
+            continue
+        cyc = [i + 1]
+        while j != i:
+            seen[j] = 1
+            cyc.append(j + 1)
+            j = p[j]
+        parts.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(parts) or "()"
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

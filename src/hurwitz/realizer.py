@@ -47,7 +47,12 @@ how far a table has grown.  The first _HUNT_PY (32) attempts are checked
 in Python, where most hunts hit; later ones in numpy chunks that
 conjugate and compose the whole chunk, drop rows by the fixed points of
 the product's powers, and test transitivity on the survivors in attempt
-order.
+order.  Since the table is fixed, the Python attempts memoize their
+conjugates per cycle type t and row index i (_conjugates): a datum's
+hunt reuses what the hunts of other data with a class of type t built
+at row i.  Only the rows of the Python attempts, at most _HUNT_PY x
+len(middle) per hunt, are ever stored, so the memo holds at most that
+many entries per type.
 
 Classes come from one vectorised numpy enumerator, _class_chunks, as
 uint8 image rows in class_iterator order, at most _CHUNK rows at a time.
@@ -170,6 +175,10 @@ _class_cache: dict[tuple[int, ...], np.ndarray] = {}
 # and the uint8 table of the draws so far, row i its i-th
 # random_permutation(d, rng)
 _draws: dict[int, tuple[random.Random, np.ndarray]] = {}
+# per cycle type t, so within one degree's draw table: row index i to
+# conjugate(class_representative(t), row i), for the rows that the
+# Python attempts read
+_conjugates: dict[tuple[int, ...], dict[int, Perm]] = {}
 
 
 def _class_chunks(t: tuple[int, ...]) -> Iterator[np.ndarray]:
@@ -407,11 +416,17 @@ def _random_hunt(
     cap = _HUNT_MAX * m
     py_end = min(run, _HUNT_PY)
     draws = _draw_rows(d, py_end * m, cap)
+    memos = [_conjugates.setdefault(t, {}) for t in middle]
     for a in range(py_end):
-        sigmas = [conjugate(rep, g) for rep, g in zip(reps, draws[a * m : a * m + m].tolist())]
+        sigmas = []
         pi = tau1
-        for s in sigmas:
-            pi = compose(pi, s)
+        for j, (rep, memo) in enumerate(zip(reps, memos)):
+            i = a * m + j
+            s = memo.get(i)
+            if s is None:
+                s = memo[i] = conjugate(rep, draws[i].tolist())
+            sigmas.append(s)
+            pi = tuple(map(pi.__getitem__, s))  # compose(pi, s)
         if cycle_type(pi) == target and is_transitive([tau1, *sigmas], d):
             budget.spend((a + 1) * m)
             return (tau1, *sigmas, inverse(pi))

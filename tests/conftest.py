@@ -77,6 +77,17 @@ def reference_hunt(d, tau1, middle, target, budget, attempts):
     return None
 
 
+def format_cycles_reference(p: perms.Perm) -> str:
+    """The cycle notation of p read off perms.cycles: every cycle longer
+    than one point, 1-based, in the order cycles gives; "()" for the
+    identity."""
+    parts = []
+    for cyc in perms.cycles(p):
+        if len(cyc) > 1:
+            parts.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
+    return "".join(parts) if parts else "()"
+
+
 def centralizer_generators_reference(t: tuple[int, ...]) -> list[perms.Perm]:
     """A larger generating set of the centralizer of
     class_representative(t): one rotation per cycle plus a swap of each

@@ -18,6 +18,7 @@ from hurwitz.core import (
     surface_from_euler,
     surface_from_token,
 )
+from hurwitz.catalog import enumerate_compatible
 from conftest import partition_count_oracle
 
 
@@ -42,6 +43,9 @@ class TestPartition:
 
     def test_str(self):
         assert str(Partition((2, 1, 1))) == "2,1,1"
+        for d in range(1, 13):
+            for p in partitions_of(d):
+                assert str(p) == ",".join(str(x) for x in p.parts)
 
 
 class TestSurface:
@@ -208,6 +212,14 @@ class TestGrammar:
     def test_roundtrip(self):
         line = "d=4 cover=O0 base=O0 parts=[3,1|2,2|2,2]"
         assert format_datum(parse_datum(line)) == line
+
+    def test_text_of_every_small_datum(self):
+        for d in (2, 5, 8):
+            for datum in enumerate_compatible(d, range(0, 4)):
+                body = "|".join(",".join(str(x) for x in p.parts) for p in datum.partitions)
+                text = f"d={d} cover={datum.cover.token} base=O0 parts=[{body}]"
+                assert format_datum(datum) == text
+                assert parse_datum(text) == datum
 
     def test_normalizes_partition_order(self):
         d = parse_datum("d=4 cover=O0 base=O0 parts=[2,2|1,2,1|3,1]")

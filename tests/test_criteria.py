@@ -466,3 +466,14 @@ class TestProjectiveSweep:
             "d=8 cover=O3 base=N1 parts=[3,2,2,1|2,2,2,2|2,2,2,2]",
             "d=8 cover=O2 base=N1 parts=[3,1,1,1,1,1|2,2,2,2|2,2,2,2]",
         ]
+
+    def test_budget_bounds_the_reductions_together(self):
+        # each of the six reductions needs more than 5 nodes; the budget
+        # is what is left after the reductions before, not 5 for each
+        datum = parse_datum(
+            "d=10 cover=O1 base=N1 parts=[3,2,2,1,1,1|3,2,2,1,1,1|2,2,1,1,1,1,1,1]"
+        )
+        assert len(list(reduce_projective(datum))) == 6
+        v = classify(datum, budget=5)
+        assert v.kind == UNKNOWN and v.provenance == "budget-exceeded"
+        assert v.nodes <= 5

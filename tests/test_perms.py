@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +21,9 @@ from hurwitz.perms import (
     is_transitive,
     parse_cycles,
     product,
+    random_permutation,
 )
+from conftest import format_cycles_reference
 
 
 def all_of_degree(d):
@@ -195,6 +198,24 @@ class TestNotation:
     def test_roundtrip_all_s4(self):
         for p in all_of_degree(4):
             assert parse_cycles(format_cycles(p), 4) == p
+
+    def test_every_permutation_up_to_degree_seven_as_the_reference(self):
+        for d in range(1, 8):
+            assert format_cycles(identity(d)) == "()"
+            for p in all_of_degree(d):
+                text = format_cycles(p)
+                assert text == format_cycles_reference(p)
+                assert parse_cycles(text, d) == p
+
+    def test_random_permutations_of_degree_8_to_300_as_the_reference(self):
+        rng = random.Random(2024)
+        for d in range(8, 301):
+            assert format_cycles(identity(d)) == "()"
+            for _ in range(3):
+                p = random_permutation(d, rng)
+                text = format_cycles(p)
+                assert text == format_cycles_reference(p)
+                assert parse_cycles(text, d) == p
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):

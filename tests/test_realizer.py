@@ -27,6 +27,7 @@ from hurwitz.perms import (
     class_iterator,
     class_representative,
     class_size,
+    conjugate,
     inverse,
     parse_cycles,
     random_permutation,
@@ -623,12 +624,16 @@ class TestDrawTable:
             [sys.executable, "-c", code, *lines], check=True, capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src},
         ).stdout.splitlines()
-        # every degree's table grown by other data first, past these hunts
+        # every degree's table grown by other data first, past these hunts,
+        # and the conjugate memo filled by hunts of other data, some of
+        # the same types at other places in the attempts
         monkeypatch.setattr(realizer, "_draws", {})
+        monkeypatch.setattr(realizer, "_conjugates", {})
         search(parse_datum(HUNTED[3][0]))
         for line in ("d=7 cover=O0 base=O0 parts=[5,1,1|4,1,1,1|3,1,1,1,1|3,1,1,1,1|2,1,1,1,1,1]",
                      "d=8 cover=O0 base=O0 parts=[8|5,1,1,1|3,1,1,1,1,1|2,1,1,1,1,1,1]"):
             search(parse_datum(line))
+        assert realizer._conjugates[4, 1, 1, 1] and realizer._conjugates[3, 1, 1, 1, 1, 1]
         for d in (7, 8, 10):
             realizer._draw_rows(d, 10_000, 10_000)
         grown = []
@@ -636,6 +641,26 @@ class TestDrawTable:
             res = search(parse_datum(line))
             grown.append(f"{res.status} {res.nodes} {res.realization.taus}")
         assert grown == fresh
+
+    def test_memo_holds_the_python_attempts_only(self, monkeypatch):
+        monkeypatch.setattr(realizer, "_conjugates", {})
+        # per type: the rows its Python attempts read, and its longest middle
+        rows: dict[tuple[int, ...], set[int]] = {}
+        most: dict[tuple[int, ...], int] = {}
+        for line, _ in HUNTED:
+            args = _hunt_args(line)
+            realizer._random_hunt(*args[:4], realizer._Budget(10**9), args[4])
+            m = len(args[2])
+            for j, t in enumerate(args[2]):
+                rows.setdefault(t, set()).update(range(j, realizer._HUNT_PY * m, m))
+                most[t] = max(most.get(t, 0), m)
+        memo = realizer._conjugates
+        assert memo.keys() == rows.keys()
+        for t, sigmas in memo.items():
+            assert len(sigmas) <= realizer._HUNT_PY * most[t] and sigmas.keys() <= rows[t]
+            table = realizer._draws[sum(t)][1]
+            for i, sigma in sigmas.items():
+                assert sigma == conjugate(class_representative(t), tuple(table[i].tolist()))
 
 
 def test_catalog_does_not_import_scipy():
