@@ -7,17 +7,42 @@ classical necessary conditions for such a datum to come from an actual
 covering (the Euler-characteristic count, a parity constraint, and three
 orientability constraints), cover-surface inference, partition plumbing,
 and the one-line text grammar shared by the CLI and the catalog.
+
+The value types carry the facts every layer reads, so that no layer
+derives them again per datum.  A Partition stores its degree and a
+BranchDatum its branching count n and preimage total n~, both computed
+once at construction and left out of equality, hashing and repr.  The
+text of a partition comes from a memo keyed by its parts and bounded at
+4096 entries, so no instance stores its text.  surface_from_euler and
+surface_from_token return one shared Surface per (orientability, genus)
+from a memo of the same bound, SPHERE, TORUS, PROJECTIVE and KLEIN
+themselves where those apply, and a BranchDatum holds the shared
+instances of its cover and base whatever surfaces it was given.  Surface
+equality tests identity first, so the battery's comparisons with SPHERE
+are identity tests; a Surface built directly is its own instance and
+compares and hashes by value.  Integer inputs (parts, genus, degree) go
+through operator.index: numpy integers are accepted, anything else is
+refused with ValueError.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
 class DatumParseError(ValueError):
     """Raised when a datum line or surface token cannot be parsed."""
+
+
+def _integer(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -29,18 +54,19 @@ class Partition:
     """
 
     parts: tuple[int, ...]
+    degree: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        parts = tuple(sorted(self.parts, reverse=True))
+        try:
+            parts = tuple(sorted(map(operator.index, self.parts), reverse=True))
+        except TypeError:
+            raise ValueError(f"partition parts must be integers: {self.parts!r}") from None
         if not parts:
             raise ValueError("a partition needs at least one part")
         if parts[-1] < 1:
             raise ValueError(f"partition parts must be positive: {parts}")
         object.__setattr__(self, "parts", parts)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.parts)
+        object.__setattr__(self, "degree", sum(parts))
 
     @property
     def is_trivial(self) -> bool:
@@ -57,10 +83,15 @@ class Partition:
         return self.parts[i]
 
     def __str__(self) -> str:
-        return ",".join(map(str, self.parts))
+        return _partition_text(self.parts)
 
 
-@dataclass(frozen=True, slots=True)
+@lru_cache(maxsize=4096)
+def _partition_text(parts: tuple[int, ...]) -> str:
+    return ",".join(map(str, parts))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Surface:
     """A closed connected surface: orientability flag plus genus."""
 
@@ -68,6 +99,7 @@ class Surface:
     genus: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "genus", _integer(self.genus, "genus"))
         if self.genus < 0:
             raise ValueError("genus must be non-negative")
         if not self.orientable and self.genus == 0:
@@ -83,6 +115,16 @@ class Surface:
     def token(self) -> str:
         return f"{'O' if self.orientable else 'N'}{self.genus}"
 
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Surface:
+            return NotImplemented
+        return self.orientable == other.orientable and self.genus == other.genus
+
+    def __hash__(self) -> int:
+        return hash((self.orientable, self.genus))
+
     def __str__(self) -> str:
         return self.token
 
@@ -91,6 +133,14 @@ SPHERE = Surface(True, 0)
 TORUS = Surface(True, 1)
 PROJECTIVE = Surface(False, 1)
 KLEIN = Surface(False, 2)
+_NAMED = {(s.orientable, s.genus): s for s in (SPHERE, TORUS, PROJECTIVE, KLEIN)}
+
+
+@lru_cache(maxsize=4096)
+def _shared_surface(orientable: bool, genus: int) -> Surface:
+    """The one instance handed out for (orientable, genus); the named
+    constants whatever the memo holds."""
+    return _NAMED.get((orientable, genus)) or Surface(orientable, genus)
 
 
 def surface_from_token(token: str) -> Surface:
@@ -99,7 +149,7 @@ def surface_from_token(token: str) -> Surface:
     if m is None:
         raise DatumParseError(f"bad surface token {token!r}")
     try:
-        return Surface(m.group(1) == "O", int(m.group(2)))
+        return _shared_surface(m.group(1) == "O", int(m.group(2)))
     except ValueError as exc:
         raise DatumParseError(str(exc)) from exc
 
@@ -109,10 +159,10 @@ def surface_from_euler(chi: int, orientable: bool) -> Surface | None:
     if orientable:
         if chi > 2 or chi % 2:
             return None
-        return Surface(True, (2 - chi) // 2)
+        return _shared_surface(True, (2 - chi) // 2)
     if chi > 1:
         return None
-    return Surface(False, 2 - chi)
+    return _shared_surface(False, 2 - chi)
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,33 +179,34 @@ class BranchDatum:
     base: Surface
     degree: int
     partitions: tuple[Partition, ...]
+    n: int = field(init=False, compare=False, repr=False)
+    """Number of branching points."""
+    n_tilde: int = field(init=False, compare=False, repr=False)
+    """Total number of preimages of branching points."""
 
     def __post_init__(self) -> None:
-        if self.degree < 2:
+        degree = _integer(self.degree, "degree")
+        if degree < 2:
             raise ValueError("degree must be at least 2")
         norm = tuple(
             p if isinstance(p, Partition) else Partition(tuple(p))
             for p in self.partitions
         )
         for p in norm:
-            if p.degree != self.degree:
-                raise ValueError(f"partition {p} does not sum to degree {self.degree}")
+            if p.degree != degree:
+                raise ValueError(f"partition {p} does not sum to degree {degree}")
             if p.is_trivial:
                 raise ValueError(
                     "trivial partition (1,...,1) marks an unbranched point; drop it"
                 )
         norm = tuple(sorted(norm, key=lambda p: p.parts, reverse=True))
+        cover, base = self.cover, self.base
+        object.__setattr__(self, "cover", _shared_surface(cover.orientable, cover.genus))
+        object.__setattr__(self, "base", _shared_surface(base.orientable, base.genus))
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "partitions", norm)
-
-    @property
-    def n(self) -> int:
-        """Number of branching points."""
-        return len(self.partitions)
-
-    @property
-    def n_tilde(self) -> int:
-        """Total number of preimages of branching points."""
-        return sum(len(p.parts) for p in self.partitions)
+        object.__setattr__(self, "n", len(norm))
+        object.__setattr__(self, "n_tilde", sum(len(p.parts) for p in norm))
 
     def __str__(self) -> str:
         return format_datum(self)
@@ -213,7 +264,7 @@ def infer_cover(
     for p in parts:
         if p.degree != d:
             raise ValueError(f"partition {p} does not sum to degree {d}")
-    chi = sum(len(p) for p in parts) + d * (base.euler_characteristic - n)
+    chi = sum(len(p.parts) for p in parts) + d * (base.euler_characteristic - n)
     out: list[Surface] = []
     if base.orientable or d % 2 == 0:
         s = surface_from_euler(chi, True)

@@ -62,17 +62,19 @@ def cycles(p: Perm) -> tuple[tuple[int, ...], ...]:
 
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
-    seen = bytearray(len(p))
+    """The cycle lengths of p, non-increasing, in one pass over a copy of
+    p: each cycle is walked from its first point, and the points the walk
+    reaches are marked with -1 so that the pass skips them."""
+    q = list(p)
     out = []
-    for i in range(len(p)):
-        if not seen[i]:
-            ln = 0
-            j = i
-            while not seen[j]:
-                seen[j] = 1
-                j = p[j]
-                ln += 1
-            out.append(ln)
+    for i, j in enumerate(q):  # the iterator sees the -1 marks
+        if j < 0:
+            continue
+        ln = 1
+        while j != i:
+            q[j], j = -1, q[j]
+            ln += 1
+        out.append(ln)
     out.sort(reverse=True)
     return tuple(out)
 

@@ -1,3 +1,6 @@
+import pickle
+
+import numpy as np
 import pytest
 
 from hurwitz.core import (
@@ -41,6 +44,17 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((2, 0))
 
+    def test_rejects_non_integer_parts(self):
+        for parts in ((2.5, 1.5), (2.0, 1), ("2", "1"), (2, None)):
+            with pytest.raises(ValueError):
+                Partition(parts)
+
+    def test_numpy_integer_parts_become_ints(self):
+        p = Partition((np.int64(1), np.uint8(3)))
+        assert p == Partition((3, 1)) and p.degree == 4
+        assert all(type(x) is int for x in p.parts)
+        assert str(p) == "3,1"
+
     def test_str(self):
         assert str(Partition((2, 1, 1))) == "2,1,1"
         for d in range(1, 13):
@@ -60,6 +74,42 @@ class TestSurface:
     def test_nonorientable_needs_genus(self):
         with pytest.raises(ValueError):
             Surface(False, 0)
+
+    def test_rejects_non_integer_genus(self):
+        for genus in (2.0, 1.5, "2", None):
+            with pytest.raises(ValueError):
+                Surface(True, genus)
+        s = Surface(True, np.int64(2))
+        assert type(s.genus) is int and s.token == "O2" and s == Surface(True, 2)
+
+    def test_equality_and_hash_as_tuples(self):
+        surfaces = [Surface(o, g) for o in (True, False) for g in range(6) if o or g]
+        for a in surfaces:
+            for b in surfaces + [Surface(b.orientable, b.genus) for b in surfaces]:
+                same = (a.orientable, a.genus) == (b.orientable, b.genus)
+                assert (a == b) is same and (a != b) is not same
+                if same:
+                    assert hash(a) == hash(b) == hash((a.orientable, a.genus))
+
+    def test_not_equal_to_other_types(self):
+        for other in ((True, 0), "O0", 0, None, Partition((2,))):
+            assert SPHERE != other and not SPHERE == other
+
+    def test_inferred_and_parsed_surfaces_are_shared(self):
+        named = {"O0": SPHERE, "O1": TORUS, "N1": PROJECTIVE, "N2": KLEIN}
+        for token, surface in named.items():
+            assert surface_from_token(token) is surface
+            chi = surface.euler_characteristic
+            assert surface_from_euler(chi, surface.orientable) is surface
+        assert surface_from_euler(-4, True) is surface_from_token("O3")
+        assert surface_from_euler(-3, False) is surface_from_token("N5")
+        datum = parse_datum("d=4 cover=O0 base=O0 parts=[3,1|2,2|2,2]")
+        assert datum.cover is SPHERE and datum.base is SPHERE
+        assert parse_datum("d=2 cover=N2 base=N1 parts=[2]").cover is KLEIN
+        assert infer_cover(SPHERE, 3, 9, [(3, 3, 3)] * 3)[0] is TORUS
+        built = BranchDatum(Surface(True, 1), Surface(False, 1), 2, [(2,), (2,)])
+        assert built.cover is TORUS and built.base is PROJECTIVE
+        assert Surface(True, 1) is not TORUS and Surface(True, 1) == TORUS
 
     def test_tokens(self):
         assert SPHERE.token == "O0"
@@ -95,6 +145,40 @@ class TestBranchDatum:
         d = parse_datum("d=4 cover=O0 base=O0 parts=[3,1|2,2|2,2]")
         assert d.n == 3
         assert d.n_tilde == 6
+
+    def test_stored_counts_of_every_small_datum(self):
+        checked = 0
+        for datum in enumerate_compatible(7, range(5)):
+            assert datum.n == len(datum.partitions)
+            assert datum.n_tilde == sum(len(p.parts) for p in datum.partitions)
+            assert all(p.degree == sum(p.parts) == 7 for p in datum.partitions)
+            checked += 1
+        assert checked > 100
+
+    def test_stored_counts_stay_out_of_equality_and_text(self):
+        d = parse_datum("d=4 cover=O0 base=O0 parts=[3,1|2,2|2,2]")
+        assert "n_tilde" not in repr(d) and "degree=4" not in repr(d.partitions[0])
+        assert hash(d) == hash((d.cover, d.base, d.degree, d.partitions))
+
+    def test_pickle_round_trip(self):
+        for line in ("d=4 cover=O0 base=O0 parts=[3,1|2,2|2,2]",
+                     "d=4 cover=O1 base=N1 parts=[2,2|2,2]",
+                     "d=6 cover=O3 base=O0 parts=[6|6|6|6]"):
+            datum = parse_datum(line)
+            back = pickle.loads(pickle.dumps(datum))
+            assert back == datum and hash(back) == hash(datum)
+            assert (back.n, back.n_tilde) == (datum.n, datum.n_tilde)
+            assert [p.degree for p in back.partitions] == [datum.degree] * datum.n
+            assert format_datum(back) == line
+
+    def test_rejects_non_integer_input(self):
+        with pytest.raises(ValueError):
+            BranchDatum(SPHERE, SPHERE, 4, [(2.5, 1.5), (2, 2), (3, 1)])
+        with pytest.raises(ValueError):
+            BranchDatum(SPHERE, SPHERE, 4.0, [(3, 1), (2, 2), (2, 2)])
+        datum = BranchDatum(SPHERE, SPHERE, np.int64(4), [np.array([3, 1]), (2, 2), (2, 2)])
+        assert datum == parse_datum("d=4 cover=O0 base=O0 parts=[3,1|2,2|2,2]")
+        assert type(datum.degree) is int
 
 
 class TestCompatibility:

@@ -432,6 +432,25 @@ class TestNoConflict:
         assert checked > 50_000
 
 
+class TestRuleOrder:
+    def test_fired_tags_of_small_sphere_data_are_pinned(self):
+        # every rule that fires, in firing order, with its kind and all its
+        # tags: a reordered battery or a changed tag moves the digest
+        import hashlib
+
+        from hurwitz import enumerate_compatible
+
+        h = hashlib.md5()
+        count = 0
+        for d in range(2, 8):
+            for datum in enumerate_compatible(d, range(0, 5)):
+                fired = [(v.kind, v.tags) for v in run_predicates(datum)]
+                h.update(f"{format_datum(datum)}\t{fired!r}\n".encode())
+                count += 1
+        assert count == 1718
+        assert h.hexdigest() == "6ebbd5689a74013d703e23f6086c803a"
+
+
 class TestProjectiveSweep:
     def test_orientable_covers_of_the_plane(self):
         # every compatible datum over N1 with orientable cover, d <= 10, n <= 3

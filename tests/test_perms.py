@@ -23,7 +23,7 @@ from hurwitz.perms import (
     product,
     random_permutation,
 )
-from conftest import format_cycles_reference
+from conftest import cycle_type_reference, format_cycles_reference
 
 
 def all_of_degree(d):
@@ -73,6 +73,24 @@ class TestCycleType:
         got = cycles(p)
         assert sorted(x for c in got for x in c) == list(range(6))
         assert got == ((0, 1), (2,), (3, 4), (5,))
+
+    def test_empty_permutation(self):
+        assert cycle_type(()) == cycle_type_reference(()) == ()
+
+    def test_every_permutation_up_to_degree_seven_as_the_reference(self):
+        for d in range(1, 8):
+            for p in all_of_degree(d):
+                assert cycle_type(p) == cycle_type_reference(p)
+
+    def test_random_permutations_of_degree_8_to_300_as_the_reference(self):
+        rng = random.Random(2025)
+        for d in range(8, 301):
+            for _ in range(3):
+                p = random_permutation(d, rng)
+                images = list(p)
+                assert cycle_type(images) == cycle_type_reference(p)
+                assert images == list(p)  # a list argument is read, not marked
+            assert cycle_type(identity(d)) == (1,) * d
 
 
 class TestTransitivity:
