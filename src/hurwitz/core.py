@@ -17,7 +17,8 @@ text of a partition comes from a memo keyed by its parts and bounded at
 surface_from_token return one shared Surface per (orientability, genus)
 from a memo of the same bound, SPHERE, TORUS, PROJECTIVE and KLEIN
 themselves where those apply, and a BranchDatum holds the shared
-instances of its cover and base whatever surfaces it was given.  Surface
+instances of its cover and base whatever surfaces it was given, also
+after a pickle round trip.  Surface
 equality tests identity first, so the battery's comparisons with SPHERE
 are identity tests; a Surface built directly is its own instance and
 compares and hashes by value.  Integer inputs (parts, genus, degree) go
@@ -207,6 +208,10 @@ class BranchDatum:
         object.__setattr__(self, "partitions", norm)
         object.__setattr__(self, "n", len(norm))
         object.__setattr__(self, "n_tilde", sum(len(p.parts) for p in norm))
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so the copy holds the shared surfaces
+        return BranchDatum, (self.cover, self.base, self.degree, self.partitions)
 
     def __str__(self) -> str:
         return format_datum(self)

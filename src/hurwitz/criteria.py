@@ -8,6 +8,13 @@ even", ...) are matched against all unordered selections of partitions,
 since branching points carry no order.  Realizable-firing rules and
 exceptional-firing rules can never both hold on one datum; if they ever
 do, that is an implementation bug and classify raises loudly.
+
+The divisibility rules read each partition's largest part, length and
+gcd of parts once, and test "all parts divisible by some k" at the
+largest such k, a gcd, where their bounds are tightest: no divisor scan.
+This relies on compatibility: over the sphere with a sphere cover,
+Riemann-Hurwitz (n~ = 2 + d(n-2), every partition shorter than d) rules
+out the shapes where that gcd is not an admissible k.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from .core import (
     TORUS,
     PROJECTIVE,
     BranchDatum,
-    Partition,
     check_compatibility,
     refines_two_halves,
 )
@@ -68,21 +74,26 @@ def _fire(kind: str, tag: str) -> Verdict:
     return Verdict(kind, (tag,))
 
 
-def _all_multiples(p: Partition, k: int) -> bool:
-    return all(x % k == 0 for x in p.parts)
+def _gcds(datum: BranchDatum) -> list[int]:
+    """The gcd of each partition's parts, in the datum's order."""
+    return [gcd(*p.parts) for p in datum.partitions]
 
 
 def _match_ordered(
     datum: BranchDatum,
-    first: tuple[int, ...],
     seconds: Sequence[tuple[int, ...]],
     exceptional: Callable[[tuple[int, ...]], bool | None],
     tag: str,
 ) -> Verdict | None:
-    """Judge the third partition of every ordered pair (first, one of
-    seconds) among the three partitions of datum: ``exceptional(third)``
-    is True, False, or None for a third the rule does not cover.  Fires
-    the common verdict; matches that disagree raise ConsistencyError."""
+    """On three points over the sphere with d even, judge the third
+    partition of every ordered pair ((2,...,2), one of seconds):
+    ``exceptional(third)`` is True, False, or None for a third the rule
+    does not cover.  Fires the common verdict; matches that disagree
+    raise ConsistencyError."""
+    d = datum.degree
+    if datum.base != SPHERE or datum.n != 3 or d % 2:
+        return None
+    first = (2,) * (d // 2)
     parts = [p.parts for p in datum.partitions]
     kinds = set()
     for i, j in permutations(range(3), 2):
@@ -143,13 +154,12 @@ def thm_eks_large(datum: BranchDatum) -> Verdict | None:
 def prop_eks_222(datum: BranchDatum) -> Verdict | None:
     """Shape (x,d-x),(2,...,2),(2,...,2) over the sphere: realizable iff
     x = d/2."""
-    d = datum.degree
-    if datum.base != SPHERE or datum.cover != SPHERE or datum.n != 3 or d % 2:
+    if datum.cover != SPHERE:
         return None
-    all2 = (2,) * (d // 2)
+    half = datum.degree // 2
     return _match_ordered(
-        datum, all2, (all2,),
-        lambda third: third[0] != d // 2 if len(third) == 2 else None,
+        datum, ((2,) * half,),
+        lambda third: third[0] != half if len(third) == 2 else None,
         "Prop-EKS-222",
     )
 
@@ -164,12 +174,12 @@ def prop_baranski(datum: BranchDatum) -> Verdict | None:
     d = datum.degree
     ms = [len(p.parts) for p in datum.partitions]
     tags = []
-    # subset-sum over (subset size r, preimage total): fire on equality
-    # m_{i1}+...+m_{ir} = (r-1)d + 1 for any subset, any r
-    reachable: set[tuple[int, int]] = {(0, 0)}
+    # m_{i1}+...+m_{ir} = (r-1)d + 1 over some subset is the subset sum
+    # (d-m_{i1})+...+(d-m_{ir}) = d-1, read off a bitset of reachable sums
+    reachable = 1
     for m in ms:
-        reachable |= {(r + 1, s + m) for r, s in reachable}
-    if any((r, (r - 1) * d + 1) in reachable for r in range(1, datum.n + 1)):
+        reachable |= reachable << (d - m)
+    if (reachable >> (d - 1)) & 1:
         tags.append("Prop-m-sum")
     if datum.n >= d:
         tags.append("Prop-n-ge-d")
@@ -189,15 +199,14 @@ def _kk_form(third: tuple[int, ...], d: int) -> bool:
 
 
 def prop_53(datum: BranchDatum) -> Verdict | None:
-    """Shape (2,...,2),(5,3,2,...,2),third over the sphere, d >= 8 even.
+    """Shape (2,...,2),(5,3,2,...,2),third over the sphere, d >= 8 even
+    (below 8 no partition of d has the shape).
 
     Torus cover: exceptional exactly for third = (d/2, d/2).  Sphere
     cover: exceptional exactly for third of the form (k,k,d/2-k,d/2-k),
     or (d/2,d/6,d/6,d/6) when 6 | d.
     """
     d = datum.degree
-    if datum.base != SPHERE or datum.n != 3 or d < 8 or d % 2:
-        return None
 
     def exceptional(third: tuple[int, ...]) -> bool | None:
         if datum.cover == TORUS and len(third) == 2:
@@ -209,44 +218,38 @@ def prop_53(datum: BranchDatum) -> Verdict | None:
         return None
 
     shape = (5, 3) + (2,) * ((d - 8) // 2)
-    return _match_ordered(datum, (2,) * (d // 2), (shape,), exceptional, "Prop-53-shape")
+    return _match_ordered(datum, (shape,), exceptional, "Prop-53-shape")
 
 
 def prop_23(datum: BranchDatum) -> Verdict | None:
     """Sphere-over-sphere shape (2,...,2) plus (3,3,2,...,2) or
     (3,2,...,2,1): realizable iff the third partition's largest part
-    differs from d/2."""
-    d = datum.degree
-    if datum.base != SPHERE or datum.cover != SPHERE or datum.n != 3 or d % 2:
+    differs from d/2.  Below d = 6 no partition of d is (3,3,2,...,2)."""
+    if datum.cover != SPHERE:
         return None
-    shapes = [(3,) + (2,) * ((d - 4) // 2) + (1,)]
-    if d >= 6:
-        shapes.append((3, 3) + (2,) * ((d - 6) // 2))
-    return _match_ordered(
-        datum, (2,) * (d // 2), shapes,
-        lambda third: third[0] == d // 2, "Prop-332-shape",
-    )
+    d = datum.degree
+    shapes = ((3,) + (2,) * ((d - 4) // 2) + (1,), (3, 3) + (2,) * ((d - 6) // 2))
+    return _match_ordered(datum, shapes, lambda third: third[0] == d // 2, "Prop-332-shape")
 
 
 def thm_fixpoints(datum: BranchDatum) -> Verdict | None:
     """Two partitions with all parts divisible by some k (1 < k < d, k | d)
     cap every other partition's parts at d/k; a larger part anywhere else
-    makes the sphere-over-sphere datum exceptional."""
+    makes the sphere-over-sphere datum exceptional.
+
+    The cap is tightest at the largest k, the gcd of the pair's gcds.  It
+    is d only for two partitions (d), which Riemann-Hurwitz allows in a
+    compatible datum only with no other point, so k = d caps nothing.
+    """
     if datum.base != SPHERE or datum.cover != SPHERE:
         return None
     d = datum.degree
-    parts = datum.partitions
-    for k in range(2, d):
-        if d % k:
-            continue
-        idx = [i for i, p in enumerate(parts) if _all_multiples(p, k)]
-        if len(idx) < 2:
-            continue
-        bound = d // k
-        for i, j in combinations(idx, 2):
-            others = [p for t, p in enumerate(parts) if t not in (i, j)]
-            if any(p.parts[0] > bound for p in others):
-                return _fire(EXCEPTIONAL, "Thm-divisible-pair")
+    gcds = _gcds(datum)
+    tops = [p.parts[0] for p in datum.partitions]
+    for i, j in combinations(range(datum.n), 2):
+        k = gcd(gcds[i], gcds[j])
+        if k > 1 and any(top > d // k for t, top in enumerate(tops) if t != i and t != j):
+            return _fire(EXCEPTIONAL, "Thm-divisible-pair")
     return None
 
 
@@ -255,37 +258,41 @@ def thm_even_deg(datum: BranchDatum) -> Verdict | None:
     (d/2, d/2); a failure makes the sphere-over-sphere datum exceptional."""
     if datum.base != SPHERE or datum.cover != SPHERE or datum.degree % 2:
         return None
-    parts = datum.partitions
-    idx = [i for i, p in enumerate(parts) if _all_multiples(p, 2)]
-    if len(idx) < 2:
-        return None
-    for i, j in combinations(idx, 2):
-        others = [p for t, p in enumerate(parts) if t not in (i, j)]
-        if any(not refines_two_halves(p) for p in others):
-            return _fire(EXCEPTIONAL, "Thm-even-pair")
+    evens = {i for i, g in enumerate(_gcds(datum)) if g % 2 == 0}
+    if any(
+        len(evens) - (t in evens) >= 2 and not refines_two_halves(p)
+        for t, p in enumerate(datum.partitions)
+    ):
+        return _fire(EXCEPTIONAL, "Thm-even-pair")
     return None
 
 
 def cor_mixed(datum: BranchDatum) -> Verdict | None:
     """One all-multiples-of-k partition plus two all-even partitions
     (2k | d, 1 < k < d/2) cap the even pair at d/k and everything else at
-    d/2k; any violation makes the sphere-over-sphere datum exceptional."""
-    if datum.base != SPHERE or datum.cover != SPHERE:
-        return None
+    d/2k; any violation makes the sphere-over-sphere datum exceptional.
+
+    Both caps are tightest at the largest k, gcd(g, d/2) for the first
+    partition's gcd g.  That is d/2 only for (d) or (d/2, d/2); beside two
+    all-even partitions Riemann-Hurwitz allows only (d/2, d/2) with two
+    (2,...,2), which no admissible k catches, so such a g is skipped.
+    """
     d = datum.degree
-    parts = datum.partitions
-    for k in range(2, (d + 1) // 2):
-        if d % (2 * k):
+    if datum.base != SPHERE or datum.cover != SPHERE or d % 2:
+        return None
+    half = d // 2
+    gcds = _gcds(datum)
+    tops = [p.parts[0] for p in datum.partitions]
+    evens = [j for j, g in enumerate(gcds) if g % 2 == 0]
+    for i1, g in enumerate(gcds):
+        k = gcd(g, half)
+        if not 1 < k < half:
             continue
-        multk = [i for i, p in enumerate(parts) if _all_multiples(p, k)]
-        for i1 in multk:
-            evens = [j for j, p in enumerate(parts) if j != i1 and _all_multiples(p, 2)]
-            for i2, i3 in combinations(evens, 2):
-                if parts[i2].parts[0] > d // k or parts[i3].parts[0] > d // k:
-                    return _fire(EXCEPTIONAL, "Cor-mixed-pair")
-                rest = [p for t, p in enumerate(parts) if t not in (i1, i2, i3)]
-                if any(p.parts[0] > d // (2 * k) for p in rest):
-                    return _fire(EXCEPTIONAL, "Cor-mixed-pair")
+        for i2, i3 in combinations([j for j in evens if j != i1], 2):
+            if max(tops[i2], tops[i3]) > d // k or any(
+                top > half // k for t, top in enumerate(tops) if t not in (i1, i2, i3)
+            ):
+                return _fire(EXCEPTIONAL, "Cor-mixed-pair")
     return None
 
 
@@ -294,13 +301,8 @@ def thm_odd_divisible(datum: BranchDatum) -> Verdict | None:
     by a common odd p >= 3: realizable."""
     if datum.base != SPHERE or datum.n != 3:
         return None
-    g = 0
-    for p in datum.partitions:
-        for x in p.parts:
-            g = gcd(g, x)
-    while g % 2 == 0:
-        g //= 2
-    if g >= 3:
+    g = gcd(*_gcds(datum))
+    if g & (g - 1):  # g is not a power of two, so it has an odd factor
         return _fire(REALIZABLE, "Thm-odd-div")
     return None
 
@@ -312,35 +314,26 @@ def lemma_transpos(datum: BranchDatum) -> Verdict | None:
     p, q >= 2 and p + q >= h + 2, the datum with partitions
     (k*s_j), (k*t_j), (h+r, 1, ..., 1) and n-3 copies of (2,1,...,1)
     is exceptional whenever 1 <= r < p + q - h and n = p+q-r-h+2.
+
+    With ell = h + r the last equation reads n = p+q-ell+2, free of k.
+    Given it and n >= 3, every other condition follows from h < ell (p = 1
+    would need q >= ell > h, yet q parts that k divides make q <= h), and
+    h < ell is weakest at the largest k: the gcd of the (k*s_j), (k*t_j).
     """
     if datum.base != SPHERE or datum.cover != SPHERE or datum.n < 3:
         return None
     d = datum.degree
-    n = datum.n
     padding = (2,) + (1,) * (d - 2)
     roles = [p.parts for p in datum.partitions if p.parts != padding]
     if len(roles) != 3:
         return None
-    for c_idx in range(3):
-        c = roles[c_idx]
+    for c_idx, c in enumerate(roles):
         if len(c) < 2 or c[0] < 3 or c[1] != 1:
             continue
         ell = c[0]
         a, b = (roles[t] for t in range(3) if t != c_idx)
-        for k in range(2, d):
-            if d % k:
-                continue
-            h = d // k
-            if h < 2:
-                continue
-            if not all(x % k == 0 for x in a) or not all(x % k == 0 for x in b):
-                continue
-            p, q = len(a), len(b)
-            if p < 2 or q < 2 or p + q < h + 2:
-                continue
-            r = ell - h
-            if 1 <= r < p + q - h and n == p + q - r - h + 2:
-                return _fire(EXCEPTIONAL, "Lemma-transpos")
+        if datum.n == len(a) + len(b) - ell + 2 and d // gcd(*a, *b) < ell:
+            return _fire(EXCEPTIONAL, "Lemma-transpos")
     return None
 
 

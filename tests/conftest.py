@@ -307,3 +307,99 @@ def all_sphere_over_sphere_data(d) -> list[BranchDatum]:
 
         rec(0, n, 0, [])
     return out
+
+
+def _all_multiples(p: Partition, k: int) -> bool:
+    return all(x % k == 0 for x in p.parts)
+
+
+def fixpoints_reference(datum: BranchDatum) -> bool:
+    """Whether criteria.thm_fixpoints fires, by the divisor scan: some k
+    with 1 < k < d and k | d, two partitions with all parts divisible by
+    k, and a part above d/k in any other partition."""
+    if datum.base != SPHERE or datum.cover != SPHERE:
+        return False
+    d = datum.degree
+    parts = datum.partitions
+    for k in range(2, d):
+        if d % k:
+            continue
+        idx = [i for i, p in enumerate(parts) if _all_multiples(p, k)]
+        for i, j in combinations(idx, 2):
+            others = [p for t, p in enumerate(parts) if t not in (i, j)]
+            if any(p.parts[0] > d // k for p in others):
+                return True
+    return False
+
+
+def cor_mixed_reference(datum: BranchDatum) -> bool:
+    """Whether criteria.cor_mixed fires, by the divisor scan over every k
+    with 2k | d and 1 < k < d/2: a partition with all parts divisible by
+    k, two further all-even partitions, and a part of the pair above d/k
+    or a part of any other partition above d/2k."""
+    if datum.base != SPHERE or datum.cover != SPHERE:
+        return False
+    d = datum.degree
+    parts = datum.partitions
+    for k in range(2, (d + 1) // 2):
+        if d % (2 * k):
+            continue
+        multk = [i for i, p in enumerate(parts) if _all_multiples(p, k)]
+        for i1 in multk:
+            evens = [j for j, p in enumerate(parts) if j != i1 and _all_multiples(p, 2)]
+            for i2, i3 in combinations(evens, 2):
+                if parts[i2].parts[0] > d // k or parts[i3].parts[0] > d // k:
+                    return True
+                rest = [p for t, p in enumerate(parts) if t not in (i1, i2, i3)]
+                if any(p.parts[0] > d // (2 * k) for p in rest):
+                    return True
+    return False
+
+
+def lemma_transpos_reference(datum: BranchDatum) -> bool:
+    """Whether criteria.lemma_transpos fires, by the divisor scan over
+    d = k*h with the lemma's conditions written out as stated: p, q >= 2,
+    p + q >= h + 2, r = ell - h with 1 <= r < p + q - h, and
+    n = p + q - r - h + 2."""
+    if datum.base != SPHERE or datum.cover != SPHERE or datum.n < 3:
+        return False
+    d = datum.degree
+    n = datum.n
+    padding = (2,) + (1,) * (d - 2)
+    roles = [p.parts for p in datum.partitions if p.parts != padding]
+    if len(roles) != 3:
+        return False
+    for c_idx in range(3):
+        c = roles[c_idx]
+        if len(c) < 2 or c[0] < 3 or c[1] != 1:
+            continue
+        ell = c[0]
+        a, b = (roles[t] for t in range(3) if t != c_idx)
+        for k in range(2, d):
+            if d % k:
+                continue
+            h = d // k
+            if h < 2:
+                continue
+            if not all(x % k == 0 for x in a) or not all(x % k == 0 for x in b):
+                continue
+            p, q = len(a), len(b)
+            if p < 2 or q < 2 or p + q < h + 2:
+                continue
+            r = ell - h
+            if 1 <= r < p + q - h and n == p + q - r - h + 2:
+                return True
+    return False
+
+
+def m_sum_reference(datum: BranchDatum) -> bool:
+    """Whether criteria.prop_baranski tags Prop-m-sum: some subset of r
+    branching points whose preimage counts sum to (r-1)d + 1, found in
+    the set of reachable (subset size, preimage total) pairs."""
+    if datum.cover != SPHERE or datum.base != SPHERE:
+        return False
+    d = datum.degree
+    reachable: set[tuple[int, int]] = {(0, 0)}
+    for p in datum.partitions:
+        reachable |= {(r + 1, s + len(p.parts)) for r, s in reachable}
+    return any((r, (r - 1) * d + 1) in reachable for r in range(1, datum.n + 1))

@@ -167,6 +167,7 @@ class TestBranchDatum:
             datum = parse_datum(line)
             back = pickle.loads(pickle.dumps(datum))
             assert back == datum and hash(back) == hash(datum)
+            assert back.base is datum.base and back.cover is datum.cover
             assert (back.n, back.n_tilde) == (datum.n, datum.n_tilde)
             assert [p.degree for p in back.partitions] == [datum.degree] * datum.n
             assert format_datum(back) == line

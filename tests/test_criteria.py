@@ -1,4 +1,7 @@
+from collections import Counter
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hurwitz.core import (
     KLEIN,
@@ -17,6 +20,7 @@ from hurwitz.criteria import (
     INCOMPATIBLE,
     REALIZABLE,
     UNKNOWN,
+    Verdict,
     classify,
     cor_mixed,
     lemma_transpos,
@@ -35,7 +39,14 @@ from hurwitz.criteria import (
 )
 from hurwitz.blocks import reduce_projective
 from hurwitz.realizer import EXHAUSTED, FOUND, search
-from conftest import make_datum, sphere_datum
+from conftest import (
+    cor_mixed_reference,
+    fixpoints_reference,
+    lemma_transpos_reference,
+    m_sum_reference,
+    make_datum,
+    sphere_datum,
+)
 
 
 def fired_tags(datum):
@@ -310,6 +321,119 @@ class TestLemmaTranspos:
         datum = sphere_datum(6, [(3, 3), (2, 2, 2), (2, 2, 2)])
         assert check_compatibility(datum).compatible
         assert lemma_transpos(datum) is None
+
+
+CLOSED_FORMS = (
+    (thm_fixpoints, fixpoints_reference, "Thm-divisible-pair"),
+    (cor_mixed, cor_mixed_reference, "Cor-mixed-pair"),
+    (lemma_transpos, lemma_transpos_reference, "Lemma-transpos"),
+)
+
+
+def closed_forms_fired(datum):
+    """The tags among the closed-form rules and Prop-m-sum that fire on
+    datum, after checking each against its divisor-scan reference."""
+    fired = []
+    for rule, reference, tag in CLOSED_FORMS:
+        expected = Verdict(EXCEPTIONAL, (tag,)) if reference(datum) else None
+        assert rule(datum) == expected, (tag, format_datum(datum))
+        fired += [tag] if expected else []
+    baranski = prop_baranski(datum)
+    m_sum = baranski is not None and "Prop-m-sum" in baranski.tags
+    assert m_sum == m_sum_reference(datum), format_datum(datum)
+    return fired + (["Prop-m-sum"] if m_sum else [])
+
+
+class TestClosedForms:
+    def test_sweep_matches_the_divisor_scans(self):
+        # every compatible sphere datum of d <= 8, n <= 5 and d = 9..12, n = 3
+        from hurwitz import enumerate_compatible
+
+        fired: Counter = Counter()
+        count = 0
+        for d in range(2, 13):
+            for datum in enumerate_compatible(d, range(0, 6) if d <= 8 else (3,)):
+                fired.update(closed_forms_fired(datum))
+                count += 1
+        assert count == 68_511
+        assert fired == {
+            "Cor-mixed-pair": 6,
+            "Lemma-transpos": 53,
+            "Thm-divisible-pair": 98,
+            "Prop-m-sum": 2_118,
+        }
+
+
+def partition_of(draw, d, length):
+    """A partition of d into length parts, all multiples of a drawn
+    divisor of d when that leaves room for them."""
+    k = draw(st.sampled_from([k for k in range(1, d + 1) if d % k == 0 and d // k >= length]))
+    cuts = draw(st.lists(st.integers(1, d // k - 1), min_size=length - 1,
+                         max_size=length - 1, unique=True)) if length > 1 else []
+    bounds = [0, *sorted(cuts), d // k]
+    return tuple(k * (hi - lo) for lo, hi in zip(bounds, bounds[1:]))
+
+
+@st.composite
+def sphere_over_sphere(draw):
+    """A compatible datum of a sphere over the sphere, d <= 24: lengths
+    drawn to meet Riemann-Hurwitz, n~ = 2 + d(n-2), then parts."""
+    d = draw(st.integers(2, 24))
+    n = draw(st.integers(2, min(6, 2 * d - 2)))
+    left = 2 + d * (n - 2)
+    lengths = []
+    for i in range(n):
+        rest = n - i - 1
+        m = draw(st.integers(max(1, left - rest * (d - 1)), min(d - 1, left - rest)))
+        lengths.append(m)
+        left -= m
+    return sphere_datum(d, [partition_of(draw, d, m) for m in lengths])
+
+
+@st.composite
+def transpos_family(draw):
+    """The lemma's shape (k*s_j), (k*t_j), (ell, 1, ..., 1) plus padding,
+    with the point count n = p + q - ell + 2 that keeps it compatible:
+    ell runs from 2 to d - 1 wherever n stays in 3..8, so both sides of
+    h < ell occur, and p or q may be 1."""
+    k = draw(st.integers(2, 6))
+    h = draw(st.integers(2, 24 // k))
+    a = partition_of(draw, h, draw(st.integers(1, h - 1 if h > 2 else 1)))
+    b = partition_of(draw, h, draw(st.integers(1, h - 1 if h > 2 else 1)))
+    d = k * h
+    lo, hi = max(2, len(a) + len(b) - 6), min(d - 1, len(a) + len(b) - 1)
+    assume(lo <= hi)
+    ell = draw(st.integers(lo, hi))
+    n = len(a) + len(b) - ell + 2
+    padding = (2,) + (1,) * (d - 2)
+    return sphere_datum(
+        d,
+        [tuple(k * x for x in a), tuple(k * x for x in b), (ell,) + (1,) * (d - ell)]
+        + [padding] * (n - 3),
+    )
+
+
+@st.composite
+def half_halves(draw):
+    """(d/2, d/2) beside two (2,...,2): the partition whose gcd with d/2
+    is d/2 itself, for every even d from 4 to 24."""
+    half = draw(st.integers(2, 12))
+    return sphere_datum(2 * half, [(half, half), (2,) * half, (2,) * half])
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(sphere_over_sphere(), transpos_family(), half_halves()))
+def test_closed_forms_on_random_data(datum):
+    assert check_compatibility(datum).compatible
+    closed_forms_fired(datum)
+    d = datum.degree
+    if d < 8:
+        assert prop_53(datum) is None
+    if d < 6:
+        # only (3,1) of the two Prop-332 shapes is a partition of d < 6
+        parts = {p.parts for p in datum.partitions}
+        shaped = datum.n == 3 and {(2, 2), (3, 1)} <= parts
+        assert (prop_23(datum) is not None) == shaped
 
 
 class TestClassify:
