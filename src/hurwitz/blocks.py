@@ -156,6 +156,8 @@ def _lattice(gens: tuple[Perm, ...]) -> tuple[tuple[int, ...], ...]:
     collection is closed under joins until stable; transitivity also
     makes all classes of an invariant partition equal-sized blocks.
     """
+    if not gens or any(len(g) != len(gens[0]) for g in gens):
+        raise ValueError("block systems need one or more generators of one degree")
     d = len(gens[0])
     if not is_transitive(gens, d):
         raise ValueError("block systems are defined for transitive actions")
@@ -181,10 +183,11 @@ def find_block_decomposition(gens: Sequence[Perm], k: int) -> BlockDecomposition
     Deterministic tie-break: the system whose block containing 1 is
     lexicographically smallest.
     """
+    systems = all_block_systems(gens)
     d = len(gens[0])
     if d % k or not 1 < k < d:
         raise ValueError("block size must properly divide the degree")
-    fits = [a for a in all_block_systems(gens) if max(a) + 1 == d // k]
+    fits = [a for a in systems if max(a) + 1 == d // k]
     if not fits:
         return None
     return BlockDecomposition(k, min(fits, key=lambda a: [x for x in range(d) if a[x] == 0]))

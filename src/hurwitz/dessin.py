@@ -3,10 +3,12 @@
 A realization tuple tau_1..tau_{n-1} turns into a graph with one vertex
 layer per permutation (vertices = cycles), one edge per point and
 adjacent layer pair, and a rotation system whose faces are the discs of
-the embedding.  Both directions of the dictionary are implemented: from
-permutations to the graph and back, the latter re-deriving an edge
-numbering from the rotations alone and refusing any rotation system
-that is not the dessin of a transitive tuple.
+the embedding.  A Dessin is its degree d and its rotations: edge e lies
+in layer e // d + 1 and carries point e % d, everything else is derived,
+and construction refuses any layout that is not that of a layered graph.
+Both directions of the dictionary are implemented: from permutations to
+the graph and back, the latter re-deriving the point labels from the
+rotations alone and refusing a disconnected rotation system.
 
 Conventions, fixed once: vertex rotations are recorded counterclockwise;
 around a middle-layer vertex the lower-layer edge with index k comes
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import BranchDatum, Surface, surface_from_euler
+from .core import SPHERE, BranchDatum, Surface, surface_from_euler
 from .perms import Perm, cycles, is_transitive
 
 
@@ -30,33 +32,44 @@ class DessinError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Dessin:
-    """A layered rotation system.
+    """A layered rotation system, given by its degree d and rotations.
 
-    ``vertex_layer[v]`` is the 1-based layer of vertex v; ``edges[e]`` is
-    ``(layer, k, v_low, v_high)`` with k the 0-based point label; dart
-    ``2*e`` sits at the low end of edge e and ``2*e + 1`` at the high
-    end; ``rotations[v]`` lists the darts around v in cyclic order.
-    Construction raises DessinError unless ``vertex_layer`` has one entry
-    per rotation and every dart sits in exactly one rotation, once.  The
-    faces are derived then, not supplied: each is the dart sequence along
-    one boundary walk (follow the partner dart, then turn to the next dart
-    around its vertex), in order of their least darts.  ``rot_next[x]``,
-    derived with them, is the dart after x around its vertex.
+    Edge e is edge (e // d + 1, e % d): it lies in layer e // d + 1 and
+    carries the 0-based point e % d.  Dart ``2*e`` sits at its low end,
+    dart ``2*e + 1`` at its high end, so dart x belongs at a vertex of
+    layer ``x // 2 // d + 1 + (x & 1)``; ``rotations[v]`` lists the darts
+    around v in cyclic order.  Construction raises DessinError unless d
+    is at least 1, the dart count is a positive multiple of 2d, every dart
+    sits in exactly one rotation, once, no rotation is empty, the darts
+    around a vertex name one layer, and around a middle-layer vertex high
+    and low darts alternate.
+    ``vertex_layer`` is then read off the darts, and the faces are the
+    dart sequences of the boundary walks (follow the partner dart, then
+    turn to the next dart around its vertex), in order of their least
+    darts.  ``rot_next[x]``, derived with them, is the dart after x
+    around its vertex.
     """
 
-    layers: int
     degree: int
-    vertex_layer: tuple[int, ...]
-    edges: tuple[tuple[int, int, int, int], ...]
     rotations: tuple[tuple[int, ...], ...]
+    vertex_layer: tuple[int, ...] = field(init=False)
     faces: tuple[tuple[int, ...], ...] = field(init=False)
     rot_next: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.vertex_layer) != len(self.rotations):
-            raise DessinError("vertex_layer and rotations differ in length")
-        dart_count = 2 * len(self.edges)
+        d, dart_count = self.degree, sum(map(len, self.rotations))
+        if d < 1 or dart_count < 1 or dart_count % (2 * d):
+            raise DessinError(f"{dart_count} darts do not fill layers of degree {d}")
         rot_next = _rot_next(self.rotations, dart_count)
+        if not all(self.rotations):
+            raise DessinError("a rotation is empty")
+        layers = dart_count // (2 * d) + 1
+        layer = [x // 2 // d + 1 + (x & 1) for x in range(dart_count)]
+        for x, y in enumerate(rot_next):  # y follows x around their vertex
+            if layer[x] != layer[y]:
+                raise DessinError(f"a vertex names layers {layer[x]} and {layer[y]}")
+            if (x ^ y) & 1 == 0 and 1 < layer[x] < layers:
+                raise DessinError(f"edges do not alternate around a layer-{layer[x]} vertex")
         faces = []
         seen = bytearray(dart_count)
         for start in range(dart_count):
@@ -69,8 +82,13 @@ class Dessin:
                 walk.append(x)
                 x = rot_next[x ^ 1]
             faces.append(tuple(walk))
+        object.__setattr__(self, "vertex_layer", tuple(layer[rot[0]] for rot in self.rotations))
         object.__setattr__(self, "faces", tuple(faces))
         object.__setattr__(self, "rot_next", tuple(rot_next))
+
+    @property
+    def layers(self) -> int:
+        return self.edge_count // self.degree + 1
 
     @property
     def n(self) -> int:
@@ -78,11 +96,11 @@ class Dessin:
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertex_layer)
+        return len(self.rotations)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.rot_next) // 2
 
     @property
     def face_count(self) -> int:
@@ -106,10 +124,6 @@ class Dessin:
             if self.vertex_layer[v] == layer
         ]
         return tuple(sorted(out, reverse=True))
-
-
-def _edge_index(i: int, k: int, d: int) -> int:
-    return (i - 1) * d + k
 
 
 def _rot_next(rotations: Sequence[tuple[int, ...]], dart_count: int) -> list[int]:
@@ -136,41 +150,29 @@ def dessin_from_permutations(taus: tuple[Perm, ...]) -> Dessin:
     layer-i and layer-(i+1) cycles containing k.  The faces Dessin
     derives are the orbits of the boundary walk of the rotation system,
     so the Euler count V - E + F is that of the closed-up surface.
+    Raises ValueError unless there are at least two taus, each a
+    permutation of 0..d-1, acting transitively.
     """
     if len(taus) < 2:
         raise ValueError("a dessin needs at least two layers (n >= 3)")
     d = len(taus[0])
-    if any(len(t) != d for t in taus):
-        raise ValueError("degree mismatch")
+    if any(sorted(t) != list(range(d)) for t in taus):
+        raise ValueError(f"every tau must be a permutation of 0..{d - 1}")
     if not is_transitive(list(taus), d):
         raise ValueError("permutations do not act transitively: "
                          "the dessin would be disconnected")
     n = len(taus) + 1
-    vertex_layer: list[int] = []
     rotations: list[tuple[int, ...]] = []
-    vertex_of = []  # per layer: point -> vertex id
     for i, tau in enumerate(taus, start=1):
-        point_map = [0] * d
         for cyc in cycles(tau):
             rot: list[int] = []
             for k in cyc:
-                point_map[k] = len(rotations)
                 if i > 1:
-                    rot.append(2 * _edge_index(i - 1, k, d) + 1)
+                    rot.append(2 * ((i - 2) * d + k) + 1)
                 if i < n - 1:
-                    rot.append(2 * _edge_index(i, k, d))
-            vertex_layer.append(i)
+                    rot.append(2 * ((i - 1) * d + k))
             rotations.append(tuple(rot))
-        vertex_of.append(point_map)
-    edges = [(i, k, vertex_of[i - 1][k], vertex_of[i][k])
-             for i in range(1, n - 1) for k in range(d)]
-    return Dessin(
-        layers=n - 1,
-        degree=d,
-        vertex_layer=tuple(vertex_layer),
-        edges=tuple(edges),
-        rotations=tuple(rotations),
-    )
+    return Dessin(degree=d, rotations=tuple(rotations))
 
 
 def permutations_from_dessin(dsn: Dessin) -> tuple[Perm, ...]:
@@ -180,31 +182,14 @@ def permutations_from_dessin(dsn: Dessin) -> tuple[Perm, ...]:
     vertex onward, rotation order; around a middle vertex the high dart
     of edge (i-1, k) is followed by the low dart of edge (i, k), which
     passes each number up.  Different anchors give simultaneously
-    conjugate outputs.  Dart placement was checked when dsn was built;
-    this raises DessinError unless the rotations are laid out as the
-    dessin of the returned tuple: a layer-i vertex carries only high
-    darts of layer i-1 and low darts of layer i, alternating around a
-    middle vertex, no rotation is empty, layer 1 carries d edges and the
-    tuple is transitive.
+    conjugate outputs.  The layout was checked when dsn was built, so dsn
+    is the dessin of the tuple returned here, up to its point labels;
+    this raises DessinError when that tuple is not transitive.
     """
     n, d = dsn.n, dsn.degree
-    first: list[int] = []  # layer-1 edges in numbering order
-    for i, rot in zip(dsn.vertex_layer, dsn.rotations):
-        if not rot:
-            raise DessinError(f"a layer-{i} vertex has an empty rotation")
-        for dart in rot:
-            layer = dsn.edges[dart // 2][0]
-            if not (1 <= layer <= n - 2 and layer + (dart & 1) == i):
-                raise DessinError(f"dart {dart} does not belong at a layer-{i} vertex")
-        if 1 < i < n - 1 and any((a ^ b) & 1 == 0 for a, b in zip(rot, rot[1:] + rot[:1])):
-            raise DessinError(f"edges do not alternate around a layer-{i} vertex")
-        if i == 1:
-            first.extend(dart // 2 for dart in rot)
-    if len(first) != d:
-        raise DessinError("layer 1 does not carry exactly d edges")
-
     rot_next = dsn.rot_next
-    chain = [first]  # chain[i-1][k] is edge (i, k)
+    # chain[i-1][k] is edge (i, k); layer 1 in numbering order
+    chain = [[x // 2 for i, rot in zip(dsn.vertex_layer, dsn.rotations) if i == 1 for x in rot]]
     for _ in range(n - 3):
         chain.append([rot_next[2 * e + 1] // 2 for e in chain[-1]])
     num = [0] * dsn.edge_count
@@ -226,7 +211,7 @@ def validate_against_datum(dsn: Dessin, datum: BranchDatum) -> bool:
     boundary walks Dessin derived at construction, so they are read as
     they are."""
     n = dsn.n
-    if datum.n != n or datum.degree != dsn.degree:
+    if datum.n != n or datum.degree != dsn.degree or datum.base != SPHERE:
         return False
     scale = 2 * (n - 2)
     derived = []
@@ -297,21 +282,17 @@ def canonical_form(dsn: Dessin) -> tuple:
     isomorphism keeps each dart's (layer, side) label, so it maps these
     anchors onto each other; the dessin is connected, so the walk from
     any one anchor reaches every dart and the least encoding is still a
-    complete invariant.  Dart placement was checked when dsn was built;
-    this raises DessinError when no edge lies in layer 1 or the walk
-    misses a dart.
+    complete invariant.  Edges 0 .. d-1 are the layer-1 edges, so the
+    anchors are darts 0, 2, .., 2d-2.  This raises DessinError when the
+    walk misses a dart.
     """
-    dart_count = 2 * dsn.edge_count
+    d, dart_count = dsn.degree, 2 * dsn.edge_count
     rot_next = dsn.rot_next
-    layer = [edge[0] for edge in dsn.edges for _ in (0, 1)]
     walks = []  # per surviving anchor: (order, queue), order[x] = -1 until met
-    for x in range(0, dart_count, 2):
-        if layer[x] == 1:
-            order = [-1] * dart_count
-            order[x] = 0
-            walks.append((order, [x]))
-    if not walks:
-        raise DessinError("no edge lies in layer 1")
+    for x in range(0, 2 * d, 2):
+        order = [-1] * dart_count
+        order[x] = 0
+        walks.append((order, [x]))
     out = []
     for i in range(dart_count):
         best = None
@@ -327,7 +308,7 @@ def canonical_form(dsn: Dessin) -> tuple:
             if order[z] < 0:
                 order[z] = len(queue)
                 queue.append(z)
-            entry = (order[y], order[z], layer[x], x & 1)
+            entry = (order[y], order[z], x // 2 // d + 1, x & 1)
             if best is None or entry < best:
                 best, kept = entry, [walk]
             elif entry == best:
@@ -340,17 +321,21 @@ def canonical_form(dsn: Dessin) -> tuple:
 def export_lines(dsn: Dessin) -> list[str]:
     """Line-oriented export: vertices with rotations, edges, faces.
     Edge tokens are ``<layer>:<k>`` with k 1-based."""
+    d = dsn.degree
+    vertex_of = [0] * (2 * dsn.edge_count)
+    for v, rot in enumerate(dsn.rotations):
+        for dart in rot:
+            vertex_of[dart] = v
 
     def token(dart: int) -> str:
-        layer, k, _, _ = dsn.edges[dart // 2]
-        return f"{layer}:{k + 1}"
+        return f"{dart // 2 // d + 1}:{dart // 2 % d + 1}"
 
     lines = []
     for v in range(dsn.vertex_count):
         rot = " ".join(token(dart) for dart in dsn.rotations[v])
         lines.append(f"vertex {dsn.vertex_layer[v]} {v} rot={rot}")
-    for layer, k, v_low, v_high in dsn.edges:
-        lines.append(f"edge {layer} {k + 1} {v_low} {v_high}")
+    for e in range(dsn.edge_count):
+        lines.append(f"edge {e // d + 1} {e % d + 1} {vertex_of[2 * e]} {vertex_of[2 * e + 1]}")
     for walk in dsn.faces:
         edge_list = ",".join(token(dart) for dart in walk)
         lines.append(f"face len={len(walk)} edges={edge_list}")

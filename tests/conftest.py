@@ -237,11 +237,12 @@ def encode_from(dsn, start: int) -> tuple:
     """The breadth-first encoding of a dessin from one anchor dart: darts
     numbered as they are met, and per dart x in that order the entry
     (number of the dart after x around its vertex, number of x ^ 1,
-    layer, side)."""
-    rot_next = {}
-    for rot in dsn.rotations:
+    layer, side).  An edge's layer is that of the vertex at its low end."""
+    rot_next, layer_of = {}, {}
+    for v, rot in enumerate(dsn.rotations):
         for dart, after in zip(rot, rot[1:] + rot[:1]):
             rot_next[dart] = after
+            layer_of[dart] = dsn.vertex_layer[v]
     order = {start: 0}
     queue = [start]
     out = []
@@ -253,13 +254,13 @@ def encode_from(dsn, start: int) -> tuple:
             if y not in order:
                 order[y] = len(order)
                 queue.append(y)
-        out.append((order[rot_next[x]], order[x ^ 1], dsn.edges[x // 2][0], x & 1))
+        out.append((order[rot_next[x]], order[x ^ 1], layer_of[x] - (x & 1), x & 1))
     return tuple(out)
 
 
 def layer1_anchors(dsn) -> list[int]:
-    """The low darts of the layer-1 edges."""
-    return [2 * e for e, edge in enumerate(dsn.edges) if edge[0] == 1]
+    """The low darts of the layer-1 edges: the darts at layer-1 vertices."""
+    return sorted(x for i, rot in zip(dsn.vertex_layer, dsn.rotations) if i == 1 for x in rot)
 
 
 def canonical_form_reference(dsn) -> tuple:

@@ -118,6 +118,13 @@ class TestFindDecomposition:
         with pytest.raises(ValueError):
             find_block_decomposition([parse_cycles("(1 2 3 4)(5 6)", 6)], 2)
 
+    @pytest.mark.parametrize("gens", [[], [(1, 0, 2, 3), (1, 2, 3, 0, 4)]], ids=["empty", "ragged"])
+    def test_requires_generators_of_one_degree(self, gens):
+        with pytest.raises(ValueError, match="generators of one degree"):
+            all_block_systems(gens)
+        with pytest.raises(ValueError, match="generators of one degree"):
+            find_block_decomposition(gens, 2)
+
     def test_requires_proper_divisor(self):
         g = parse_cycles("(1 2 3 4)", 4)
         for bad in (1, 3, 4):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import pytest
@@ -80,15 +81,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             dessin_from_permutations((parse_cycles("(1 2)", 2),))
 
+    @pytest.mark.parametrize("taus", [
+        ((1, 1, 0), (1, 2, 0)),
+        ((0, 1, 2), (1, 2, 3)),
+        ((1, 0, 2), (1, 2)),
+    ])
+    def test_not_permutations_rejected(self, taus):
+        with pytest.raises(ValueError, match="permutation"):
+            dessin_from_permutations(taus)
+
     def test_middle_layer_alternation(self):
         dsn = dessin_from_permutations(LAYERED)
+        assert dsn.vertex_layer == (1, 2, 2, 3, 3, 3)
         middle = [
             v for v in range(dsn.vertex_count) if dsn.vertex_layer[v] == 2
         ]
         for v in middle:
             rot = dsn.rotations[v]
             assert len(rot) % 2 == 0
-            layers = [dsn.edges[dart // 2][0] for dart in rot]
+            layers = [dart // 2 // dsn.degree + 1 for dart in rot]
             assert layers == [1, 2] * (len(rot) // 2)
 
     def test_derived_faces(self):
@@ -193,6 +204,13 @@ class TestValidate:
         dsn = dessin_from_permutations(S4_TAUS)
         assert not validate_against_datum(dsn, datum)
 
+    @pytest.mark.parametrize("base", ["O1", "N2"])
+    def test_wrong_base(self, base):
+        """A dessin lives over the sphere: same partitions and cover, any
+        other base, is not its datum."""
+        datum = parse_datum(f"d=4 cover=O0 base={base} parts=[4|3,1|2,1,1]")
+        assert not validate_against_datum(dessin_from_permutations(S4_TAUS), datum)
+
 
 class TestFaces:
     """Faces are derived from the rotations at construction; no face list,
@@ -215,11 +233,7 @@ class TestFaces:
 
     @staticmethod
     def refuse_faces(dsn, faces):
-        fields = {f.name: getattr(dsn, f.name) for f in dataclasses.fields(dsn) if f.init}
-        with pytest.raises(TypeError):
-            Dessin(**fields, faces=faces)
-        with pytest.raises(ValueError):
-            dataclasses.replace(dsn, faces=faces)
+        refuse_field(dsn, "faces", faces, ValueError)
 
     @pytest.mark.parametrize("fault", FACE_FAULTS)
     def test_faces_not_walks_refused(self, fault):
@@ -247,25 +261,17 @@ class TestMalformed:
         )
         rot = list(dsn.rotations[target])
         rot[0], rot[1] = rot[1], rot[0]
-        broken = dsn.__class__(
-            layers=dsn.layers,
-            degree=dsn.degree,
-            vertex_layer=dsn.vertex_layer,
-            edges=dsn.edges,
-            rotations=tuple(
-                tuple(rot) if v == target else dsn.rotations[v]
-                for v in range(dsn.vertex_count)
-            ),
+        rotations = tuple(
+            tuple(rot) if v == target else dsn.rotations[v]
+            for v in range(dsn.vertex_count)
         )
-        with pytest.raises(DessinError):
-            permutations_from_dessin(broken)
+        with pytest.raises(DessinError, match="alternate"):
+            dataclasses.replace(dsn, rotations=rotations)
 
     # darts of LAYERED: layer-1 vertex 0 (0, 2, 4, 6); layer-2 vertices
     # 1 (1, 8, 5, 12) and 2 (3, 10, 7, 14); layer-3 vertices 3 (9, 11),
     # 4 (13,) and 5 (15,).  Integer keys replace rotations, string keys
-    # replace Dessin fields.  Misplaced darts and a vertex_layer of the
-    # wrong length are refused at construction, layout faults by the
-    # inverse.
+    # replace Dessin fields.  Every fault is refused at construction.
     LAYOUT_FAULTS = {
         "repeated dart": {1: (0, 8, 5, 12)},
         "missing dart": {3: (9,)},
@@ -275,11 +281,10 @@ class TestMalformed:
         "wrong layer": {1: (13, 8, 5, 12), 4: (1,)},
         "no alternation": {1: (1, 8, 5), 2: (3, 10, 7, 14, 12)},
         "empty rotation": {4: (), 5: (15, 13)},
-        "vertex layer 0": {"vertex_layer": (1, 2, 2, 3, 0, 3)},
-        "vertex layer n": {"vertex_layer": (1, 2, 2, 3, 4, 3)},
-        "extra vertex layer": {"vertex_layer": (1, 2, 2, 3, 3, 3, 1)},
-        "vertex layer short": {"vertex_layer": (1, 2, 2, 3, 3)},
         "layer 1 short of d": {"degree": 5},
+        "degree 0": {"degree": 0},
+        "darts left over": {"degree": 3},
+        "no darts": {v: () for v in range(6)},
     }
 
     @pytest.mark.parametrize("fault", LAYOUT_FAULTS)
@@ -292,7 +297,32 @@ class TestMalformed:
         rotations = tuple(change.get(v, rot) for v, rot in enumerate(dsn.rotations))
         fields = {k: v for k, v in change.items() if isinstance(k, str)}
         with pytest.raises(DessinError):
-            permutations_from_dessin(dataclasses.replace(dsn, rotations=rotations, **fields))
+            dataclasses.replace(dsn, rotations=rotations, **fields)
+
+    @pytest.mark.parametrize("name, value, replace_error", [
+        ("layers", 3, TypeError),
+        ("edges", ((1, 0, 0, 1),), TypeError),
+        ("vertex_layer", (1, 2, 2, 3, 3, 3), ValueError),
+    ], ids=["layers", "edges", "vertex_layer"])
+    def test_removed_field_refused(self, name, value, replace_error):
+        """A dessin is its degree and rotations: the layers, the edges and
+        the vertex layers are derived and cannot be supplied."""
+        refuse_field(dessin_from_permutations(LAYERED), name, value, replace_error)
+
+    def test_mislayered_dessin_refused(self):
+        """With vertex layers (1, 1, 2, 2, 1, 2) supplied beside these
+        rotations, a dessin used to validate against [5|3,1,1|2,2,1], a
+        datum its tuple does not realize.  The layers are now read off the
+        darts, and a vertex whose darts name two layers is refused."""
+        dsn = dessin_from_permutations(((0, 1, 2, 4, 3), (1, 3, 4, 0, 2)))
+        assert dsn.rotations == ((0,), (2,), (4,), (6, 8), (1, 3, 7), (5, 9))
+        refuse_field(dsn, "vertex_layer", (1, 1, 2, 2, 1, 2), ValueError)
+        assert dsn.vertex_layer == (1, 1, 1, 1, 2, 2)
+        datum = parse_datum("d=5 cover=O0 base=O0 parts=[5|3,1,1|2,2,1]")
+        assert not validate_against_datum(dsn, datum)
+        traded = ((0,), (2,), (4,), (6, 7), (1, 3, 8), (5, 9))
+        with pytest.raises(DessinError, match="names layers"):
+            Dessin(degree=5, rotations=traded)
 
     def test_every_dart_overwrite_refused(self):
         """Overwriting one dart of LAYERED with another in-range dart
@@ -332,17 +362,29 @@ class TestMalformed:
             dataclasses.replace(dsn, rotations=((0, 2, 4, 6), (1, 5, 3), (dart,)))
 
     def test_canonical_form_needs_layer_one(self):
+        """canonical_form anchors on darts 0, 2, .., 2d-2, the low darts of
+        the layer-1 edges; construction refuses a dessin without them."""
         dsn = dessin_from_permutations(S4_TAUS)
-        mutant = dataclasses.replace(
-            dsn, edges=tuple((2, k, lo, hi) for _, k, lo, hi in dsn.edges)
-        )
-        with pytest.raises(DessinError, match="layer 1"):
-            canonical_form(mutant)
+        assert layer1_anchors(dsn) == [0, 2, 4, 6]
+        for degree, rotations in ((4, ((),)), (0, dsn.rotations)):
+            with pytest.raises(DessinError, match="darts do not fill"):
+                Dessin(degree=degree, rotations=rotations)
+
+
+def refuse_field(dsn, name, value, replace_error):
+    """A field that is derived, or none at all, cannot be supplied."""
+    fields = {f.name: getattr(dsn, f.name) for f in dataclasses.fields(dsn) if f.init}
+    assert set(fields) == {"degree", "rotations"}
+    with pytest.raises(TypeError):
+        Dessin(**fields, **{name: value})
+    with pytest.raises(replace_error):
+        dataclasses.replace(dsn, **{name: value})
 
 
 def mutate(dsn, kind, rng):
-    """One swap, move, overwrite, relayer or cyclic shift of the rotations."""
-    layers, rots = list(dsn.vertex_layer), [list(r) for r in dsn.rotations]
+    """One swap, move, overwrite or cyclic shift of the rotations, or a
+    new degree, which re-reads every dart's layer."""
+    degree, rots = dsn.degree, [list(r) for r in dsn.rotations]
     a, b = rng.randrange(len(rots)), rng.randrange(len(rots))
     i, j = rng.randrange(len(rots[a])), rng.randrange(len(rots[b]))
     if kind == "swap":
@@ -351,13 +393,11 @@ def mutate(dsn, kind, rng):
         rots[b].insert(j, rots[a].pop(i))
     elif kind == "overwrite":
         rots[a][i] = rng.randrange(-1, 2 * dsn.edge_count + 1)
-    elif kind == "relayer":
-        layers[a] = rng.randrange(dsn.n + 1)
+    elif kind == "regrade":
+        degree = rng.randrange(2 * dsn.edge_count + 1)
     else:  # shift the stretch from i onward by one place
         rots[a][i:] = rots[a][i + 1:] + rots[a][i:i + 1]
-    return dataclasses.replace(
-        dsn, vertex_layer=tuple(layers), rotations=tuple(map(tuple, rots))
-    )
+    return dataclasses.replace(dsn, degree=degree, rotations=tuple(map(tuple, rots)))
 
 
 @st.composite
@@ -371,7 +411,7 @@ def transitive_tuples(draw, low=3, high=7):
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(
     transitive_tuples(),
-    st.sampled_from(["swap", "move", "overwrite", "relayer", "shift"]),
+    st.sampled_from(["swap", "move", "overwrite", "regrade", "shift"]),
     st.randoms(use_true_random=False),
 )
 def test_inverse_accepts_exactly_dessins(taus, kind, rng):
@@ -474,3 +514,19 @@ class TestExport:
         assert sum(1 for s in lines if s.startswith("face len=")) == 3
         assert any(s.startswith("vertex 1 0 rot=") for s in lines)
         assert "edge 1 1 0 1" in lines
+
+    def test_outputs_pinned(self):
+        """Export, canonical form and inverse of all 656 dessins of the
+        transitive tuples below, in itertools.product order, hash to the
+        value they had when a Dessin still stored its layers and edges."""
+        digest, count = hashlib.md5(), 0
+        for d, k in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3)):
+            for taus in itertools.product(itertools.permutations(range(d)), repeat=k):
+                if not is_transitive(list(taus), d):
+                    continue
+                dsn = dessin_from_permutations(taus)
+                digest.update(("\n".join(export_lines(dsn)) + "\n" + repr(canonical_form(dsn))
+                               + "\n" + repr(permutations_from_dessin(dsn)) + "\n").encode())
+                count += 1
+        assert count == 656
+        assert digest.hexdigest() == "a36e54330dc4fbe5928a3dd02f0f5234"
