@@ -156,9 +156,11 @@ def _lattice(gens: tuple[Perm, ...]) -> tuple[tuple[int, ...], ...]:
     collection is closed under joins until stable; transitivity also
     makes all classes of an invariant partition equal-sized blocks.
     """
-    if not gens or any(len(g) != len(gens[0]) for g in gens):
-        raise ValueError("block systems need one or more generators of one degree")
-    d = len(gens[0])
+    d = len(gens[0]) if gens else 0
+    if not gens or any(sorted(g) != list(range(d)) for g in gens):
+        raise ValueError(
+            "block systems need one or more generators of one degree, each a permutation of 0..d-1"
+        )
     if not is_transitive(gens, d):
         raise ValueError("block systems are defined for transitive actions")
     systems: set[tuple[int, ...]] = set()

@@ -429,7 +429,7 @@ def classify(
             sub = classify(reduced, budget - nodes)
             nodes += sub.nodes
             if sub.kind == REALIZABLE:
-                tag = "reduction:" + (sub.tags[0] if sub.tags else "")
+                tag = "reduction:" + sub.tags[0]
                 return Verdict(REALIZABLE, (tag,), nodes=nodes)
             if sub.kind == UNKNOWN:
                 saw_unknown = True

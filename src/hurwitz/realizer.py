@@ -18,7 +18,8 @@ Pruning, all of it certificate-preserving:
 * the second permutation ranges over orbit representatives of its class
   under conjugation by the centralizer of the anchored tau_1;
 * a partial product pi must stay within transposition distance of what
-  the remaining classes can still contribute, with matching parity;
+  the remaining classes can still contribute; sign is a homomorphism
+  and compatibility condition 2 makes the parity always match;
 * the orbit partition of the placed generators must be mergeable into
   one orbit by the cycles the remaining enumerated classes can offer.
 
@@ -39,26 +40,27 @@ Budgets count visited candidates.  Only a completed walk certifies
 exceptionality; a randomized witness hunt runs first whenever the
 remaining classes are too large to walk cheaply, so oversized realizable
 data still produce witnesses.  The hunt's relabellings come from one
-uint8 draw table per degree, filled in place from one Random(_SEED) kept
-per degree and grown by doubling, up to the _HUNT_MAX x len(middle) rows
-the longest hunt reads.  Attempt a always reads the same rows, so
-outcomes, witnesses and node counts do not depend on call order or on
-how far a table has grown.  The first _HUNT_PY (32) attempts are checked
-in Python, where most hunts hit; later ones in numpy chunks that
-conjugate and compose the whole chunk, drop rows by the fixed points of
-the product's powers, and test transitivity on the survivors in attempt
-order.  Since the table is fixed, the Python attempts memoize their
-conjugates per cycle type t and row index i (_conjugates): a datum's
-hunt reuses what the hunts of other data with a class of type t built
-at row i.  Only the rows of the Python attempts, at most _HUNT_PY x
-len(middle) per hunt, are ever stored, so the memo holds at most that
-many entries per type.
+uint8 draw table per degree, drawn from one Random(_SEED) kept per
+degree and grown to exactly the rows a hunt asks for, at most the
+_HUNT_MAX x len(middle) rows of the longest hunt.  Attempt a always
+reads the same rows, so outcomes, witnesses and node counts do not
+depend on call order or on how far a table has grown.  The first
+_HUNT_PY (32) attempts are checked in Python, where most hunts hit;
+later ones in numpy chunks that conjugate and compose the whole chunk,
+drop rows by the fixed points of the product's powers, and test
+transitivity on the survivors in attempt order.  Since the table is
+fixed, the Python attempts memoize their conjugates per cycle type t and
+row index i (_conjugates): a datum's hunt reuses what the hunts of other
+data with a class of type t built at row i.  Only the rows of the Python
+attempts, at most _HUNT_PY x len(middle) per hunt, are ever stored, so
+the memo holds at most that many entries per type.
 
 Classes come from one vectorised numpy enumerator, _class_chunks, as
 uint8 image rows in class_iterator order, at most _CHUNK rows at a time.
 A class is cached per cycle type as one array when it takes at most
 _CACHE_BYTES (16 MiB, that is class size times degree bytes); orbit
-reduction, at every degree up to 256, selects rows of that array.  A
+reduction, at every degree up to 256, selects rows of that array.  Both
+tables, per type and per (anchor, type), are unbounded lru_caches.  A
 larger class is streamed chunk by chunk on every visit.  A witness is
 checked by verify_witness before it is returned, also under
 ``python -O``.
@@ -69,6 +71,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from typing import Iterator
 
@@ -152,13 +155,13 @@ class _Witness(Exception):
 
 
 def verify_witness(datum: BranchDatum, realization: Realization) -> bool:
-    """Product is the identity, action transitive, cycle types match the
-    datum's partitions as multisets."""
+    """Every tau permutes 0..d-1, product is the identity, action
+    transitive, cycle types match the datum's partitions as multisets."""
     d = datum.degree
     if realization.degree != d or realization.n != datum.n:
         return False
     taus = realization.taus
-    if any(len(t) != d for t in taus):
+    if any(sorted(t) != list(range(d)) for t in taus):
         return False
     if product(taus, d) != identity(d):
         return False
@@ -169,8 +172,6 @@ def verify_witness(datum: BranchDatum, realization: Realization) -> bool:
     return got == want
 
 
-_reps_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
-_class_cache: dict[tuple[int, ...], np.ndarray] = {}
 # per degree d: the Random(_SEED) the hunt draws its relabellings from,
 # and the uint8 table of the draws so far, row i its i-th
 # random_permutation(d, rng)
@@ -245,27 +246,24 @@ def _build_class_list(t: tuple[int, ...]) -> memoryview:
     return memoryview(out)
 
 
+@lru_cache(maxsize=None)
 def _class_table(t: tuple[int, ...]) -> np.ndarray:
-    if t not in _class_cache:
-        _class_cache[t] = np.asarray(_build_class_list(t))
-    return _class_cache[t]
+    return np.asarray(_build_class_list(t))
 
 
+@lru_cache(maxsize=None)
 def _anchored_reps(anchor: tuple[int, ...], t: tuple[int, ...]) -> np.ndarray:
     """Orbit representatives of class t under conjugation by the
     centralizer of class_representative(anchor): one per orbit, the
     first in canonical class order.  Raises RuntimeError when a
     generator does not commute with that representative: it would merge
     orbits and drop representatives the walk needs."""
-    if (anchor, t) not in _reps_cache:
-        rep = class_representative(anchor)
-        zgens = centralizer_generators(anchor)
-        if any(conjugate(rep, z) != rep for z in zgens):
-            raise RuntimeError("a generator is outside the anchor's centralizer")
-        cls = _class_table(t)
-        reps = cls[_orbit_firsts_vectorized(cls, zgens, sum(t))]
-        _reps_cache[anchor, t] = reps
-    return _reps_cache[anchor, t]
+    rep = class_representative(anchor)
+    zgens = centralizer_generators(anchor)
+    if any(conjugate(rep, z) != rep for z in zgens):
+        raise RuntimeError("a generator is outside the anchor's centralizer")
+    cls = _class_table(t)
+    return cls[_orbit_firsts_vectorized(cls, zgens, sum(t))]
 
 
 def _orbit_firsts_vectorized(cls: np.ndarray, zgens: list[Perm], d: int) -> list[int]:
@@ -380,18 +378,15 @@ def _merge_cycles(parent: list[int], sigma: Perm) -> tuple[list[int], int]:
     return par, count
 
 
-def _draw_rows(d: int, need: int, cap: int) -> np.ndarray:
-    """The degree-d draw table, filled to at least ``need`` rows (need <=
-    cap).  It grows by doubling, but not past ``cap`` rows, and each new
-    row is written in place."""
+def _draw_rows(d: int, need: int) -> np.ndarray:
+    """The degree-d draw table, grown to at least ``need`` rows: the rows
+    it lacks are drawn, in order, into a larger copy."""
     rng, rows = _draws.get(d) or (random.Random(_SEED), np.empty((0, d), dtype=np.uint8))
     if len(rows) < need:
         have = len(rows)
-        grown = np.empty((min(max(need, 2 * have), cap), d), dtype=np.uint8)
-        grown[:have] = rows
-        for i in range(have, len(grown)):
-            grown[i] = random_permutation(d, rng)
-        rows = grown
+        rows = np.concatenate([rows, np.empty((need - have, d), dtype=np.uint8)])
+        for i in range(have, need):
+            rows[i] = random_permutation(d, rng)
         _draws[d] = (rng, rows)
     return rows
 
@@ -413,9 +408,8 @@ def _random_hunt(
     m = len(middle)
     reps = [class_representative(t) for t in middle]
     run = min(attempts, (budget.limit - budget.nodes) // m)  # what the budget affords
-    cap = _HUNT_MAX * m
     py_end = min(run, _HUNT_PY)
-    draws = _draw_rows(d, py_end * m, cap)
+    draws = _draw_rows(d, py_end * m)
     memos = [_conjugates.setdefault(t, {}) for t in middle]
     for a in range(py_end):
         sigmas = []
@@ -435,7 +429,7 @@ def _random_hunt(
     start = py_end
     while start < run:
         stop = min(run, start + min(max(start, 16), _HUNT_CHUNK))
-        g = _draw_rows(d, stop * m, cap)[start * m : stop * m].reshape(stop - start, m, d)
+        g = _draw_rows(d, stop * m)[start * m : stop * m].reshape(stop - start, m, d)
         # sigma = g o rep o g^-1, that is sigma[g[x]] = g[rep[x]]
         sig = np.empty_like(g)
         np.put_along_axis(sig, g, g[:, np.arange(m)[:, None], reps], axis=2)
@@ -614,11 +608,7 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
         # transposition capacity includes the forced last permutation
         suffix_trans = [x + (d - len(target)) for x in suffix_merge]
 
-        parent0, orb0 = _merge_cycles(list(range(d)), tau1)
-        if d - cycle_count(tau1) > suffix_trans[0]:
-            return SearchResult(EXHAUSTED, None, bud.nodes)
-        if orb0 - 1 > suffix_merge[0]:
-            return SearchResult(EXHAUSTED, None, bud.nodes)
+        parent0, _ = _merge_cycles(list(range(d)), tau1)
 
         last = len(middle) - 1
 
@@ -631,9 +621,7 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
             for sigma in _perms(source):
                 bud.spend(1)
                 pi2 = compose(pi, sigma)
-                need = d - cycle_count(pi2)
-                cap = suffix_trans[j + 1]
-                if need > cap or (cap - need) & 1:
+                if d - cycle_count(pi2) > suffix_trans[j + 1]:
                     continue
                 parent2, orb2 = _merge_cycles(parent, sigma)
                 if orb2 - 1 > suffix_merge[j + 1]:

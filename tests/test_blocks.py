@@ -118,7 +118,11 @@ class TestFindDecomposition:
         with pytest.raises(ValueError):
             find_block_decomposition([parse_cycles("(1 2 3 4)(5 6)", 6)], 2)
 
-    @pytest.mark.parametrize("gens", [[], [(1, 0, 2, 3), (1, 2, 3, 0, 4)]], ids=["empty", "ragged"])
+    @pytest.mark.parametrize(
+        "gens",
+        [[], [(1, 0, 2, 3), (1, 2, 3, 0, 4)], [(1, 2, 3, 0), (0, 0, 0, 0)], [(1, 2, 3, 0), (4, 1, 2, 3)]],
+        ids=["empty", "ragged", "repeat", "outside"],
+    )
     def test_requires_generators_of_one_degree(self, gens):
         with pytest.raises(ValueError, match="generators of one degree"):
             all_block_systems(gens)

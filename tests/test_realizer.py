@@ -145,6 +145,18 @@ class TestVerifyWitness:
         )
         assert not verify_witness(datum, Realization(4, taus))
 
+    def test_point_outside_the_degree(self):
+        datum = parse_datum("d=3 cover=O0 base=O0 parts=[3|3|3]")
+        assert verify_witness(datum, Realization(3, ((1, 2, 0), (1, 2, 0), (1, 2, 0))))
+        assert not verify_witness(datum, Realization(3, ((1, 2, 0), (1, 2, 0), (1, 2, 5))))
+
+    def test_degree_arity_and_length_must_match(self):
+        datum = parse_datum("d=3 cover=O0 base=O0 parts=[3|3|3]")
+        cyc = (1, 2, 0)
+        assert not verify_witness(datum, Realization(4, (cyc, cyc, cyc)))  # degree
+        assert not verify_witness(datum, Realization(3, (cyc, cyc)))  # arity
+        assert not verify_witness(datum, Realization(3, (cyc, cyc, (1, 2, 0, 3))))  # length
+
 
 class TestAgainstNaiveOracle:
     def test_three_point_data_up_to_degree_eight(self):
@@ -201,6 +213,26 @@ class TestBudget:
         assert tiny.status in (FOUND, BUDGET_EXCEEDED)
         if full.status == EXHAUSTED:
             assert tiny.status == BUDGET_EXCEEDED
+
+
+class TestTranspositionPrune:
+    def test_pruned_walk_pinned(self, monkeypatch):
+        # with the hunt off, the walk prunes 216 partial products that
+        # need more transpositions than the remaining classes hold
+        monkeypatch.setattr(realizer, "_RANDOM_TRIGGER", 10**30)
+        datum = parse_datum(
+            "d=7 cover=O0 base=O0 parts=[3,1,1,1,1|2,2,1,1,1|2,2,1,1,1|2,2,1,1,1|2,2,1,1,1|2,2,1,1,1]"
+        )
+        res = search(datum)
+        assert (res.status, res.nodes) == (FOUND, 101_404)
+        assert res.realization.taus == (
+            (1, 2, 0, 3, 4, 5, 6),
+            (1, 0, 3, 2, 4, 5, 6),
+            (2, 4, 0, 3, 1, 5, 6),
+            (3, 4, 2, 0, 1, 5, 6),
+            (5, 6, 2, 3, 4, 0, 1),
+            (5, 6, 2, 3, 4, 0, 1),
+        )
 
 
 class TestReduceProjective:
@@ -360,7 +392,7 @@ class TestClassTable:
         # the orbit reduction alone cannot tell: the rogue merges orbits
         assert len(realizer._orbit_firsts_vectorized(table, zgens, 6)) == 4
         assert len(realizer._orbit_firsts_vectorized(table, zgens + [rogue], 6)) == 3
-        monkeypatch.setattr(realizer, "_reps_cache", {})
+        realizer._anchored_reps.cache_clear()
         monkeypatch.setattr(realizer, "centralizer_generators", lambda a: zgens + [rogue])
         with pytest.raises(RuntimeError, match="centralizer"):
             realizer._anchored_reps(anchor, t)
@@ -606,7 +638,7 @@ class TestDrawTable:
         budget = realizer._Budget(10**9)
         assert realizer._random_hunt(d, tau1, middle, (10,), budget, realizer._HUNT_MAX) is None
         assert budget.nodes == realizer._HUNT_MAX * len(middle)
-        # doubling from the first 32 rows would pass 40,000 at 65,536
+        # exactly the rows the hunt read, none drawn ahead of it
         assert len(realizer._draws[d][1]) == realizer._HUNT_MAX * len(middle)
 
     def test_outcome_does_not_depend_on_cache_state(self, monkeypatch):
@@ -635,7 +667,7 @@ class TestDrawTable:
             search(parse_datum(line))
         assert realizer._conjugates[4, 1, 1, 1] and realizer._conjugates[3, 1, 1, 1, 1, 1]
         for d in (7, 8, 10):
-            realizer._draw_rows(d, 10_000, 10_000)
+            realizer._draw_rows(d, 10_000)
         grown = []
         for line in lines:
             res = search(parse_datum(line))
