@@ -15,17 +15,16 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
     SPHERE,
     BranchDatum,
     Surface,
+    covers_from_count,
     format_datum,
-    infer_cover,
     parse_datum,
     partitions_of,
     check_compatibility,
@@ -71,15 +70,41 @@ def enumerate_compatible(
     """Stream every compatible datum of degree d, branching counts from
     n_values, over the given base, canonically ordered and each exactly
     once.  Cover surfaces are inferred; pass ``cover`` to keep only one.
+
+    The partition multisets come in combinations_with_replacement order,
+    and a partial multiset is dropped when even its cheapest completion,
+    with the fewest parts the remaining menu offers, has too many
+    preimages for any cover: chi(cover) = n~ + d (chi(base) - n) is at
+    most 2, and at most 1 when the cover cannot be orientable.
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
     menu = [p for p in partitions_of(d) if not p.is_trivial]
+    lengths = [len(p.parts) for p in menu]
+    fewest = lengths[:]  # fewest[i]: the fewest parts among menu[i:]
+    for i in range(len(menu) - 2, -1, -1):
+        fewest[i] = min(fewest[i], fewest[i + 1])
+    chi_max = 2 if base.orientable or d % 2 == 0 else 1
+
+    def combos(start: int, k: int, n_tilde: int, head: tuple) -> Iterator[tuple[tuple, int]]:
+        # head completed by k >= 1 partitions of menu[start:] to at most
+        # cap preimages, with the preimage totals
+        for i in range(start, len(menu)):
+            if n_tilde + k * fewest[i] > cap:
+                break  # fewest[i] only grows with i
+            total = n_tilde + lengths[i]
+            if total + (k - 1) * fewest[i] <= cap:
+                if k == 1:
+                    yield (*head, menu[i]), total
+                else:
+                    yield from combos(i, k - 1, total, (*head, menu[i]))
+
     for n in sorted(set(n_values)):
         if n < 0:
             continue
-        for combo in combinations_with_replacement(menu, n):
-            for cand in infer_cover(base, n, d, combo):
+        cap = chi_max - d * (base.euler_characteristic - n)
+        for combo, n_tilde in combos(0, n, 0, ()) if n else [((), 0)]:
+            for cand in covers_from_count(base, n, d, n_tilde):
                 if cover is not None and cand != cover:
                     continue
                 datum = BranchDatum(cand, base, d, combo)
@@ -189,6 +214,10 @@ def run_catalog(
         if datum not in done
     ]
     if workers > 1:
+        # imported here: concurrent.futures.process would add about 30 ms
+        # to every import of the package
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             fresh = list(pool.map(_classify_record, todo, repeat(budget), chunksize=8))
     else:

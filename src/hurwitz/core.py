@@ -269,7 +269,12 @@ def infer_cover(
     for p in parts:
         if p.degree != d:
             raise ValueError(f"partition {p} does not sum to degree {d}")
-    chi = sum(len(p.parts) for p in parts) + d * (base.euler_characteristic - n)
+    return covers_from_count(base, n, d, sum(len(p.parts) for p in parts))
+
+
+def covers_from_count(base: Surface, n: int, d: int, n_tilde: int) -> list[Surface]:
+    """What infer_cover returns, read off the preimage total n~ alone."""
+    chi = n_tilde + d * (base.euler_characteristic - n)
     out: list[Surface] = []
     if base.orientable or d % 2 == 0:
         s = surface_from_euler(chi, True)

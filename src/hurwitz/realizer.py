@@ -16,12 +16,41 @@ enumerated: the product's cycle type is compared against it directly.
 Pruning, all of it certificate-preserving:
 
 * the second permutation ranges over orbit representatives of its class
-  under conjugation by the centralizer of the anchored tau_1;
+  under conjugation by the centralizer C of the anchored tau_1 when the
+  class has at most _REDUCTION_LIMIT elements, and over the class's
+  stabilizer-least rows (below) when it has more;
 * a partial product pi must stay within transposition distance of what
   the remaining classes can still contribute; sign is a homomorphism
   and compatibility condition 2 makes the parity always match;
 * the orbit partition of the placed generators must be mergeable into
   one orbit by the cycles the remaining enumerated classes can offer.
+
+Stabilizer-least rows.  A row sigma is read in class order: each
+cycle's opening point a (the least point not yet read), then sigma(a),
+sigma^2(a), ... until the cycle closes.  sigma is kept when every point
+q read that is not an opening point is the least of its orbit under
+the pointwise stabilizer, in C, of the points read before it.  C is
+the product over the anchor's cycle lengths l of C_l wr S_k, so that
+stabilizer fixes each anchor cycle holding a read point and moves the
+other cycles of each length among themselves freely: q passes exactly
+when its anchor cycle already holds a read point, or q is the first
+point of the lowest-numbered anchor cycle of its length that holds
+none.  If sigma fails at q, take g in that stabilizer with g(q) < q.
+g sigma g^-1 agrees with sigma on the points read before q, but for
+the last of them, which it maps to g(q) in place of q; its earlier
+cycles are sigma's, and its cycle through the open cycle's opening
+point is as long as sigma's.  So it comes earlier in class order, and
+sigma is not the first row of its orbit.  Hence every orbit's first
+row is kept, and the kept rows are a class-order superset of the
+orbit representatives.  Conjugating a whole tuple by an element of C
+keeps tau_1 and every condition of the walk, so the first row with a
+witness below it is its orbit's first: the walk finds the same first
+witness, and a walk without one still certifies exhaustion, at far
+fewer nodes (the (3,3,3,3)-anchored d = 12 data: 251,328-318,087 nodes
+down to 7,072-8,412).  The stream tests choices only while some anchor
+cycle holds no read point; after that the stabilizer is trivial, and
+every completion is kept.  How many rows are kept is not known before
+the walk, so no budget check is made up front.
 
 With three points the solutions up to simultaneous conjugation are the
 double cosets C(a)\\S_d/C(b), which can be walked from either side.
@@ -56,23 +85,25 @@ attempts, at most _HUNT_PY x len(middle) per hunt, are ever stored, so
 the memo holds at most that many entries per type.
 
 Classes come from one vectorised numpy enumerator, _class_chunks, as
-uint8 image rows in class_iterator order, at most _CHUNK rows at a time.
-A class is cached per cycle type as one array when it takes at most
-_CACHE_BYTES (16 MiB, that is class size times degree bytes); orbit
-reduction, at every degree up to 256, selects rows of that array.  Both
-tables, per type and per (anchor, type), are unbounded lru_caches.  A
-larger class is streamed chunk by chunk on every visit.  A witness is
-checked by verify_witness before it is returned, also under
-``python -O``.
+uint8 image rows in class_iterator order, at most _CHUNK rows at a time;
+given an anchor it yields the stabilizer-least rows only.  A class is
+cached per cycle type as one array when it takes at most _CACHE_BYTES
+(16 MiB, that is class size times degree bytes); orbit reduction, at
+every degree up to 256, selects rows of that array.  Both tables, per
+type and per (anchor, type), are unbounded lru_caches.  A larger class,
+and the stabilizer-least rows of a second class above _REDUCTION_LIMIT,
+are streamed chunk by chunk on every visit.  A witness is checked by
+verify_witness before it is returned, also under ``python -O``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
+from math import perm, prod
 from typing import Iterator
 
 import numpy as np
@@ -182,52 +213,188 @@ _draws: dict[int, tuple[random.Random, np.ndarray]] = {}
 _conjugates: dict[tuple[int, ...], dict[int, Perm]] = {}
 
 
-def _class_chunks(t: tuple[int, ...]) -> Iterator[np.ndarray]:
+def _class_chunks(
+    t: tuple[int, ...], anchor: tuple[int, ...] | None = None
+) -> Iterator[np.ndarray]:
     """Every permutation of cycle type t as uint8 rows, in class_iterator
-    order, in chunks of at most _CHUNK rows.
+    order, in chunks of at most _CHUNK rows.  With an anchor, only the
+    rows that pass the stabilizer rule of the anchor's centralizer (see
+    _stabilizer_least), coalesced into chunks of at most _CHUNK rows.
 
     class_iterator closes a first cycle through point 0 for each length,
     longest first, and each ordered choice of its other points, and then
     enumerates the rest of the class on the unused points, which is the
-    class of the remaining type relabelled in increasing order.  So each
-    block (length, choice) is that smaller class conjugated by the
-    relabelling g with g(0) = 0, g(1..ln-1) = the choice and g(ln..) =
-    the unused points in increasing order.  A smaller class that fits in
-    one chunk is built once and conjugated by as many choices at a time
-    as the chunk holds; a larger one is streamed again for each choice.
+    class of the remaining type relabelled in increasing order.  So the
+    class is the blocks of _cycle_rows, one per length.
     """
-    d = sum(t)
-    if d == 0:
+    if not t:
         yield np.empty((1, 0), dtype=np.uint8)  # the empty permutation
         return
+    if anchor is not None:
+        yield from _coalesced(_stabilizer_least(t, anchor))
+        return
     for ln in sorted(set(t), reverse=True):
-        k = t.index(ln)
-        rest = t[:k] + t[k + 1 :]
-        cycle = np.roll(np.arange(ln, dtype=np.uint8), -1)  # (0 1 .. ln-1)
-        if class_size(rest) <= _CHUNK:
-            es = [_beside_cycle(cycle, np.concatenate(list(_class_chunks(rest))))]
-            step = _CHUNK // class_size(rest)
+        yield from _cycle_rows(ln, _without(t, ln))
+
+
+def _without(t: tuple[int, ...], ln: int) -> tuple[int, ...]:
+    k = t.index(ln)
+    return t[:k] + t[k + 1 :]
+
+
+def _cycle_rows(ln: int, rest: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """The rows of class (ln, *rest) whose cycle through 0 has length ln,
+    in class_iterator order, in chunks of at most _CHUNK rows.
+
+    Each block (choice of the cycle's other points) is class rest
+    conjugated by the relabelling g with g(0) = 0, g(1..ln-1) = the
+    choice and g(ln..) = the unused points in increasing order.  A rest
+    class that fits in one chunk is built once and conjugated by as many
+    choices at a time as the chunk holds; a larger one is streamed again
+    for each choice.
+    """
+    d = ln + sum(rest)
+    cycle = np.roll(np.arange(ln, dtype=np.uint8), -1)  # (0 1 .. ln-1)
+    if class_size(rest) <= _CHUNK:
+        es = [_beside_cycle(cycle, np.concatenate(list(_class_chunks(rest))))]
+        step = _CHUNK // class_size(rest)
+    else:
+        es, step = None, 1
+    choices = itertools.permutations(range(1, d), ln - 1)
+    while batch := list(itertools.islice(choices, step)):
+        a = len(batch)
+        g = np.zeros((a, d), dtype=np.uint8)
+        g[:, 1:ln] = np.array(batch, dtype=np.uint8).reshape(a, ln - 1)
+        free = np.ones((a, d), dtype=bool)
+        free[np.arange(a)[:, None], g[:, :ln]] = False
+        g[:, ln:] = np.nonzero(free)[1].reshape(a, d - ln)
+        ginv = np.argsort(g, axis=1).astype(np.uint8)
+        for e in es or (_beside_cycle(cycle, sub) for sub in _class_chunks(rest)):
+            # row (i, s) is g_i o e_s o g_i^-1, looping over the shorter axis
+            block = np.empty((a, len(e), d), dtype=np.uint8)
+            if a <= len(e):
+                for i in range(a):
+                    block[i] = g[i][e[:, ginv[i]]]
+            else:
+                for s in range(len(e)):
+                    block[:, s] = np.take_along_axis(g, e[s][ginv], axis=1)
+            yield block.reshape(-1, d)
+
+
+def _stabilizer_least(t: tuple[int, ...], anchor: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """The rows of class t that pass the stabilizer rule of the anchor
+    (see the module docstring), in class_iterator order, in pieces of at
+    most _CHUNK rows.
+
+    The rows are read point by point, as class_iterator builds them, and
+    a choice that fails the rule is skipped.  Per anchor cycle length,
+    the cycles that hold a read point are the lowest ones, so the rule
+    reads: q is at most the first point of the lowest untouched anchor
+    cycle of its length (bound).  Once every anchor cycle holds a read
+    point the stabilizer is trivial, and the rest of the row is completed
+    in every way at once, through _cycle_rows, unless that leaves a
+    single row.  Within one stream the completions of each shape that
+    fit in a chunk are built once.
+    """
+    d = sum(t)
+    group = [0] * d  # per point, the index of its anchor cycle's length
+    bound, step = [], []
+    start = 0
+    for ln, k in sorted(Counter(anchor).items(), reverse=True):
+        group[start : start + k * ln] = [len(step)] * (k * ln)
+        bound.append(start)
+        step.append(ln)
+        start += k * ln
+    untouched = len(anchor)
+    images = [0] * d  # of the points read, all but the last one's
+    rows: list[list[int]] = []  # rows completed here, not yet yielded
+    shapes: dict[tuple[int, tuple[int, ...]], list[np.ndarray]] = {}
+
+    def mark(g: int, sign: int) -> None:
+        # the lowest untouched anchor cycle of length step[g] is touched
+        # (sign 1), or the highest touched one untouched again (sign -1)
+        nonlocal untouched
+        bound[g] += sign * step[g]
+        untouched -= sign
+
+    def read(cycle: list[int], r: int, rest: tuple[int, ...], unused: list[int]):
+        # cycle: the open cycle's points read so far, r: its points left
+        nonlocal rows
+        if not untouched and perm(len(unused), r) * class_size(rest) > 1:
+            if rows:
+                yield np.array(rows, dtype=np.uint8)
+                rows = []
+            yield from complete(cycle, r, rest, unused)
+        elif r:
+            for i, q in enumerate(unused):
+                g = group[q]
+                if q > bound[g]:
+                    continue
+                fresh = q == bound[g]
+                if fresh:
+                    mark(g, 1)
+                images[cycle[-1]] = q
+                yield from read(cycle + [q], r - 1, rest, unused[:i] + unused[i + 1 :])
+                if fresh:
+                    mark(g, -1)
+        elif rest:
+            images[cycle[-1]] = cycle[0]
+            yield from open_cycle(rest, unused)
         else:
-            es, step = None, 1
-        choices = itertools.permutations(range(1, d), ln - 1)
-        while batch := list(itertools.islice(choices, step)):
-            a = len(batch)
-            g = np.zeros((a, d), dtype=np.uint8)
-            g[:, 1:ln] = np.array(batch, dtype=np.uint8).reshape(a, ln - 1)
-            free = np.ones((a, d), dtype=bool)
-            free[np.arange(a)[:, None], g[:, :ln]] = False
-            g[:, ln:] = np.nonzero(free)[1].reshape(a, d - ln)
-            ginv = np.argsort(g, axis=1).astype(np.uint8)
-            for e in es or (_beside_cycle(cycle, sub) for sub in _class_chunks(rest)):
-                # row (i, s) is g_i o e_s o g_i^-1, looping over the shorter axis
-                block = np.empty((a, len(e), d), dtype=np.uint8)
-                if a <= len(e):
-                    for i in range(a):
-                        block[i] = g[i][e[:, ginv[i]]]
-                else:
-                    for s in range(len(e)):
-                        block[:, s] = np.take_along_axis(g, e[s][ginv], axis=1)
-                yield block.reshape(-1, d)
+            images[cycle[-1]] = cycle[0]
+            rows.append(images[:])
+            if len(rows) == _CHUNK:
+                yield np.array(rows, dtype=np.uint8)
+                rows = []
+
+    def open_cycle(rest: tuple[int, ...], unused: list[int]):
+        a = unused[0]  # every point below it is read, so it passes the rule
+        g = group[a]
+        fresh = a == bound[g]
+        if fresh:
+            mark(g, 1)
+        for ln in sorted(set(rest), reverse=True):
+            yield from read([a], ln - 1, _without(rest, ln), unused[1:])
+        if fresh:
+            mark(g, -1)
+
+    def complete(cycle: list[int], r: int, rest: tuple[int, ...], unused: list[int]):
+        # the rows of _cycle_rows(r + 1, rest) relabelled by 0 -> the last
+        # point read and 1.. -> the unused points in increasing order; the
+        # point that then maps to the last point read maps to the opening one
+        subs = shapes.get((r, rest))
+        if subs is None:
+            subs = _cycle_rows(r + 1, rest)
+            if perm(len(unused), r) * class_size(rest) <= _CHUNK:
+                subs = shapes[r, rest] = [np.concatenate(list(subs))]
+        a, p = cycle[0], cycle[-1]
+        points = np.array([p, *unused], dtype=np.uint8)
+        row = np.array(images, dtype=np.uint8)
+        for sub in subs:
+            relabelled = points[sub]
+            relabelled[relabelled == p] = a
+            block = np.broadcast_to(row, (len(sub), d)).copy()
+            block[:, points] = relabelled
+            yield block
+
+    yield from open_cycle(t, list(range(d)))
+    if rows:
+        yield np.array(rows, dtype=np.uint8)
+
+
+def _coalesced(pieces: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """Pieces of at most _CHUNK rows joined, in order, into chunks of at
+    most _CHUNK rows."""
+    held: list[np.ndarray] = []
+    size = 0
+    for piece in pieces:
+        if size + len(piece) > _CHUNK:
+            yield np.concatenate(held) if len(held) > 1 else held[0]
+            held, size = [], 0
+        held.append(piece)
+        size += len(piece)
+    if held:
+        yield np.concatenate(held) if len(held) > 1 else held[0]
 
 
 def _beside_cycle(cycle: np.ndarray, sub: np.ndarray) -> np.ndarray:
@@ -479,8 +646,9 @@ def _scan_python(source, pi, target, parent, budget, gens_for_transitivity, d):
 def _row_chunks(source) -> Iterator[np.ndarray]:
     """The rows of a plan entry, at most _CHUNK at a time.  A table is
     sliced in chunks that start small and double, so a scan that stops
-    early touches few rows; a cycle type's class is streamed by
-    _class_chunks."""
+    early touches few rows; a cycle type's class, or the
+    stabilizer-least rows of a (cycle type, anchor) pair, are streamed
+    by _class_chunks."""
     if isinstance(source, np.ndarray):
         start, size = 0, 16
         while start < len(source):
@@ -488,6 +656,8 @@ def _row_chunks(source) -> Iterator[np.ndarray]:
             yield source[start : start + size]
             start += size
             size *= 2
+    elif isinstance(source[0], tuple):
+        yield from _class_chunks(*source)
     else:
         yield from _class_chunks(source)
 
@@ -499,7 +669,10 @@ def _perms(source) -> Iterator[Perm]:
 
 
 def _row_count(source) -> int:
-    return len(source) if isinstance(source, np.ndarray) else class_size(source)
+    """The rows of a plan entry; of a pruned class, those of the class."""
+    if isinstance(source, np.ndarray):
+        return len(source)
+    return class_size(source[0] if isinstance(source[0], tuple) else source)
 
 
 def _scan_numpy(source, pi, target, parent, budget, gens_for_transitivity, d):
@@ -546,8 +719,9 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
     Returns FOUND with a verified witness, EXHAUSTED when the whole
     anchored space has been covered (certifying exceptionality), or
     BUDGET_EXCEEDED.  The budget is counted in visited candidates and
-    the result is eagerly BUDGET_EXCEEDED when the walk provably cannot
-    complete within it.  Deterministic: same datum, same outcome.
+    the result is eagerly BUDGET_EXCEEDED when the second class's orbit
+    representatives alone exceed it.  Deterministic: same datum, same
+    outcome.
     """
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
@@ -587,16 +761,19 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
                 return SearchResult(EXHAUSTED, None, bud.nodes)
 
         # candidate plan per enumerated level
-        plan: list[np.ndarray | tuple[int, ...]] = []
+        plan: list[np.ndarray | tuple] = []
         for j, t in enumerate(middle):
             size = class_size(t)
-            if j == 0 and size <= _REDUCTION_LIMIT:
-                plan.append(_anchored_reps(anchor, t))
+            if j == 0:
+                # the orbit representatives, or the stabilizer-least rows
+                # streamed on each visit, a class-order superset of them
+                # with the same first witness (see the module docstring)
+                plan.append(_anchored_reps(anchor, t) if size <= _REDUCTION_LIMIT else (t, anchor))
             elif size * d <= _CACHE_BYTES:
                 plan.append(_class_table(t))
             else:
                 plan.append(t)  # streamed by _class_chunks on each visit
-        if _row_count(plan[0]) > budget - bud.nodes:
+        if isinstance(plan[0], np.ndarray) and len(plan[0]) > budget - bud.nodes:
             return SearchResult(BUDGET_EXCEEDED, None, bud.nodes)
 
         # merge capacity of the classes still to be placed (the forced

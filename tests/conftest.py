@@ -4,10 +4,17 @@ paths they are used to check."""
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from hurwitz import perms, realizer
-from hurwitz.core import BranchDatum, Partition, SPHERE
+from hurwitz.core import (
+    SPHERE,
+    BranchDatum,
+    Partition,
+    check_compatibility,
+    infer_cover,
+    partitions_of,
+)
 
 
 def cycle_type_reference(p: perms.Perm) -> tuple[int, ...]:
@@ -35,6 +42,22 @@ def partition_count_oracle(d: int) -> int:
         for total in range(part, d + 1):
             table[total] += table[total - part]
     return table[d]
+
+
+def enumerate_compatible_reference(d, n_values, base=SPHERE, cover=None):
+    """What catalog.enumerate_compatible streams, by inferring the covers
+    of every partition multiset and checking each datum built."""
+    menu = [p for p in partitions_of(d) if not p.is_trivial]
+    for n in sorted(set(n_values)):
+        if n < 0:
+            continue
+        for combo in combinations_with_replacement(menu, n):
+            for cand in infer_cover(base, n, d, combo):
+                if cover is not None and cand != cover:
+                    continue
+                datum = BranchDatum(cand, base, d, combo)
+                if check_compatibility(datum).compatible:
+                    yield datum
 
 
 def naive_search_n3(datum: BranchDatum) -> bool:

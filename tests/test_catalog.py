@@ -1,8 +1,12 @@
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hurwitz
 from hurwitz import catalog
 from hurwitz.catalog import (
     enumerate_compatible,
@@ -11,6 +15,8 @@ from hurwitz.catalog import (
     summary_lines,
 )
 from hurwitz.core import (
+    KLEIN,
+    PROJECTIVE,
     SPHERE,
     TORUS,
     BranchDatum,
@@ -20,6 +26,7 @@ from hurwitz.core import (
     infer_cover,
     partitions_of,
 )
+from conftest import enumerate_compatible_reference
 
 
 def brute_compatible_triples(d):
@@ -71,6 +78,27 @@ class TestEnumerate:
         toruses = list(enumerate_compatible(6, [3], SPHERE, TORUS))
         assert toruses
         assert all(x.cover == TORUS for x in toruses)
+
+    @pytest.mark.parametrize("base", [SPHERE, TORUS, PROJECTIVE, KLEIN], ids=str)
+    def test_stream_equals_reference(self, base):
+        # the Euler cut drops only multisets that no cover can take
+        for d, n_values in [*((d, range(-1, 6)) for d in range(2, 9)), (12, [3])]:
+            got = list(enumerate_compatible(d, n_values, base))
+            assert got == list(enumerate_compatible_reference(d, n_values, base)), d
+        for cover in {x.cover for x in enumerate_compatible(6, [4], base)}:
+            want = list(enumerate_compatible_reference(6, [4], base, cover))
+            assert list(enumerate_compatible(6, [4], base, cover)) == want, cover
+
+
+def test_import_leaves_the_process_pool_out():
+    # run_catalog imports it only for workers > 1
+    code = "import sys, hurwitz; print('concurrent.futures.process' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(hurwitz.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout.split()
+    assert out == ["False"]
 
 
 class TestRunCatalog:

@@ -354,6 +354,29 @@ class TestClassTable:
             assert max(map(len, chunks)) <= chunk, t
             assert np.array_equal(np.concatenate(chunks), _reference_rows(t)), t
 
+    @pytest.mark.parametrize("chunk", [7, realizer._CHUNK])
+    def test_stabilizer_least_rows(self, monkeypatch, chunk):
+        # for every anchor and type of degree up to 7, the rows kept are a
+        # subsequence of the class in class order that holds every orbit's
+        # first row
+        monkeypatch.setattr(realizer, "_CHUNK", chunk)
+        pairs = kept_rows = 0
+        for types in ([p.parts for p in partitions_of(d)] for d in range(1, 8)):
+            for t in types:
+                reference = _reference_rows(t)
+                index = {row.tobytes(): i for i, row in enumerate(reference)}
+                for anchor in types:
+                    chunks = list(realizer._class_chunks(t, anchor))
+                    assert max(map(len, chunks)) <= chunk, (anchor, t)
+                    kept = [index[row.tobytes()] for row in np.concatenate(chunks)]
+                    assert kept == sorted(set(kept)), (anchor, t)
+                    firsts = realizer._orbit_firsts_hashed(reference, centralizer_generators(anchor))
+                    assert set(firsts) <= set(kept), (anchor, t)
+                    pairs += 1
+                    kept_rows += len(kept)
+        # of the 84,503 rows of the 434 classes
+        assert (pairs, kept_rows) == (434, 30_913)
+
     def test_orbit_firsts_agree_with_hashed_reduction(self):
         pairs = [
             (anchor, t)
@@ -501,18 +524,42 @@ class TestStreamedClasses:
     @pytest.mark.parametrize(
         "line, nodes",
         [
-            ("d=12 cover=O0 base=O0 parts=[5,5,2|3,3,3,2,1|2,2,2,2,2,2]", 1_507_968),
-            ("d=12 cover=O0 base=O0 parts=[6,3,3|5,2,2,2,1|2,2,2,2,2,2]", 2_035_756),
+            ("d=12 cover=O0 base=O0 parts=[5,5,2|3,3,3,2,1|2,2,2,2,2,2]", 30_368),
+            ("d=12 cover=O0 base=O0 parts=[6,3,3|5,2,2,2,1|2,2,2,2,2,2]", 41_212),
         ],
     )
     def test_class_above_the_cache_bound(self, monkeypatch, line, nodes):
         # the middle class takes more than _CACHE_BYTES, so the walk
         # streams it; with no class small enough to orbit-reduce, the
-        # swap-anchor decider stands aside and the walk runs
+        # swap-anchor decider stands aside and the walk runs, streaming
+        # only the middle class's stabilizer-least rows
         monkeypatch.setattr(realizer, "_REDUCTION_LIMIT", 0)
         streamed = _watch_streaming(monkeypatch)
         assert search(parse_datum(line)) == realizer.SearchResult(EXHAUSTED, None, nodes)
         assert any(streamed)
+
+    @pytest.mark.parametrize(
+        "line, nodes",
+        [
+            ("d=12 cover=O0 base=O0 parts=[5,2,2,2,1|4,2,2,2,2|3,3,3,3]", 8_412),
+            ("d=12 cover=O1 base=O0 parts=[4,3,3,2|3,3,3,3|3,3,3,3]", 7_072),
+            ("d=12 cover=O0 base=O0 parts=[4,3,3,1,1|4,2,2,2,2|3,3,3,3]", 8_412),
+            ("d=12 cover=O0 base=O0 parts=[4,2,2,2,2|3,3,3,3|3,3,2,2,2]", 8_412),
+            ("d=12 cover=O0 base=O0 parts=[3,3,3,3|3,3,3,3|3,2,2,2,2,1]", 7_072),
+        ],
+    )
+    def test_anchor_above_the_reduction_limit(self, monkeypatch, line, nodes):
+        # anchor (3,3,3,3) has 246,400 elements, so the swap decider stands
+        # aside; the last level streams the stabilizer-least rows of its
+        # class, after the hunt's 6,237 or 4,928 nodes, and builds no table
+        built = []
+        build = realizer._build_class_list
+        monkeypatch.setattr(realizer, "_build_class_list", lambda t: built.append(t) or build(t))
+        realizer._class_table.cache_clear()
+        streamed = _watch_streaming(monkeypatch)
+        assert search(parse_datum(line)) == realizer.SearchResult(EXHAUSTED, None, nodes)
+        assert streamed == [True]
+        assert not {(3, 3, 3, 3), (4, 2, 2, 2, 2)} & set(built)
 
     def test_streamed_outcomes_equal_cached_ones(self, monkeypatch):
         data = [datum for d in range(2, 7) for datum in enumerate_compatible(d, range(5))]
