@@ -52,19 +52,6 @@ cycle holds no read point; after that the stabilizer is trivial, and
 every completion is kept.  How many rows are kept is not known before
 the walk, so no budget check is made up front.
 
-With three points the solutions up to simultaneous conjugation are the
-double cosets C(a)\\S_d/C(b), which can be walked from either side.
-Where the middle class is above _REDUCTION_LIMIT and the smallest is
-not, the walk would scan all of the middle class.  After the hunt has
-missed, the search first anchors class_representative of the middle
-class instead and scans the smallest class's orbit representatives
-under its centralizer (_swap_hits).  When none closes with it into a
-transitive pair of the target product type, exhaustion is certified at
-one node per representative.  When one does, the search goes on to the
-walk unchanged, which finds the same first witness with the same nodes
-as without the swap; that scan runs on a budget of its own and is not
-charged.
-
 Budgets count visited candidates.  Only a completed walk certifies
 exceptionality; a randomized witness hunt runs first whenever the
 remaining classes are too large to walk cheaply, so oversized realizable
@@ -694,25 +681,6 @@ def _scan_numpy(source, pi, target, parent, budget, gens_for_transitivity, d):
         budget.spend(len(chunk))
 
 
-def _swap_hits(d: int, b: tuple[int, ...], reps: np.ndarray, target: tuple[int, ...]) -> bool:
-    """Whether a three-point datum has a solution, decided from the side
-    of its middle class b: pi = class_representative(b) is anchored, and
-    reps, the orbit representatives of the smallest class under pi's
-    centralizer, are scanned for a sigma with pi o sigma of the target
-    type and <pi, sigma> transitive.  A solution (a, b') conjugates to
-    one with b' = pi, whose b' o a is conjugate to a o b', and the
-    centralizer of pi keeps both conditions, so one sigma per orbit
-    decides.  The scan runs on a budget of its own."""
-    pi = class_representative(b)
-    parent, _ = _merge_cycles(list(range(d)), pi)
-    scan = _scan_numpy if len(reps) >= _NUMPY_MIN else _scan_python
-    try:
-        scan(reps, pi, target, parent, _Budget(len(reps)), (pi,), d)
-    except _Witness:
-        return True
-    return False
-
-
 def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Decide realizability of a compatible datum over the sphere base.
 
@@ -733,7 +701,7 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
     if datum.n == 2:
         # Riemann-Hurwitz over the sphere: n <= 2 is compatible only as [d|d]
         rep = class_representative((d,))
-        return SearchResult(FOUND, Realization(d, (rep, inverse(rep))), 1)
+        return SearchResult(FOUND, _checked(datum, (rep, inverse(rep))), 1)
     types = sorted((p.parts for p in datum.partitions), key=lambda t: (class_size(t), t))
 
     if d > 256:
@@ -749,16 +717,6 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
             taus = _random_hunt(d, tau1, middle, target, bud, attempts)
             if taus is not None:
                 return SearchResult(FOUND, _checked(datum, taus), bud.nodes)
-
-        if len(middle) == 1 and class_size(middle[0]) > _REDUCTION_LIMIT >= class_size(anchor):
-            # the walk below would scan the whole middle class: decide
-            # from its side first, and walk only when that finds a hit
-            reps = _anchored_reps(middle[0], anchor)
-            if len(reps) > budget - bud.nodes:
-                return SearchResult(BUDGET_EXCEEDED, None, bud.nodes)
-            if not _swap_hits(d, middle[0], reps, target):
-                bud.spend(len(reps))
-                return SearchResult(EXHAUSTED, None, bud.nodes)
 
         # candidate plan per enumerated level
         plan: list[np.ndarray | tuple] = []

@@ -284,6 +284,7 @@ class TestWitnessCheck:
         [
             "d=6 cover=O0 base=O0 parts=[3,3|2,2,2|2,2,2]",  # found by the walk
             "d=7 cover=O0 base=O0 parts=[7|4,1,1,1|2,2,1,1,1|2,1,1,1,1,1]",  # by the hunt
+            "d=3 cover=O0 base=O0 parts=[3|3]",  # two points, no search
         ],
     )
     def test_rejected_witness_raises_named_error(self, monkeypatch, line):
@@ -526,17 +527,16 @@ class TestStreamedClasses:
         [
             ("d=12 cover=O0 base=O0 parts=[5,5,2|3,3,3,2,1|2,2,2,2,2,2]", 30_368),
             ("d=12 cover=O0 base=O0 parts=[6,3,3|5,2,2,2,1|2,2,2,2,2,2]", 41_212),
+            ("d=14 cover=O0 base=O0 parts=[6,3,3,2|3,3,3,3,2|2,2,2,2,2,2,2]", 40_815),
         ],
     )
     def test_class_above_the_cache_bound(self, monkeypatch, line, nodes):
-        # the middle class takes more than _CACHE_BYTES, so the walk
-        # streams it; with no class small enough to orbit-reduce, the
-        # swap-anchor decider stands aside and the walk runs, streaming
-        # only the middle class's stabilizer-least rows
-        monkeypatch.setattr(realizer, "_REDUCTION_LIMIT", 0)
+        # the middle class is above _REDUCTION_LIMIT and takes more than
+        # _CACHE_BYTES, so after the hunt misses the walk streams its
+        # stabilizer-least rows under the centralizer of the (2^k) anchor
         streamed = _watch_streaming(monkeypatch)
         assert search(parse_datum(line)) == realizer.SearchResult(EXHAUSTED, None, nodes)
-        assert any(streamed)
+        assert streamed == [True]
 
     @pytest.mark.parametrize(
         "line, nodes",
@@ -549,9 +549,10 @@ class TestStreamedClasses:
         ],
     )
     def test_anchor_above_the_reduction_limit(self, monkeypatch, line, nodes):
-        # anchor (3,3,3,3) has 246,400 elements, so the swap decider stands
-        # aside; the last level streams the stabilizer-least rows of its
-        # class, after the hunt's 6,237 or 4,928 nodes, and builds no table
+        # anchor (3,3,3,3) has 246,400 elements, so every class is above
+        # _REDUCTION_LIMIT; the last level streams the stabilizer-least rows
+        # of its class, after the hunt's 6,237 or 4,928 nodes, and builds no
+        # table
         built = []
         build = realizer._build_class_list
         monkeypatch.setattr(realizer, "_build_class_list", lambda t: built.append(t) or build(t))
@@ -569,56 +570,43 @@ class TestStreamedClasses:
         assert [search(datum) for datum in data] == want
         assert any(streamed)
 
-
-class TestSwapAnchor:
-    @pytest.mark.parametrize(
-        "line, nodes",
-        [
-            ("d=12 cover=O0 base=O0 parts=[5,5,2|3,3,3,2,1|2,2,2,2,2,2]", 29_611),
-            ("d=12 cover=O0 base=O0 parts=[6,3,3|5,2,2,2,1|2,2,2,2,2,2]", 39_991),
-        ],
-    )
-    def test_decided_without_the_middle_class(self, monkeypatch, line, nodes):
-        # the hunt misses, then the orbit representatives of (2^6) under
-        # the middle representative's centralizer all miss; the middle
-        # class is never streamed
-        streamed = _watch_streaming(monkeypatch)
-        assert search(parse_datum(line)) == realizer.SearchResult(EXHAUSTED, None, nodes)
-        assert not any(streamed)
-
     def test_budget_one_short_is_never_exhausted(self):
+        # level 0 streams a number of rows not known up front, so the
+        # budget is checked row by row and never runs out unnoticed
         datum = parse_datum("d=12 cover=O1 base=O0 parts=[7,5|3,3,3,3|2,2,2,2,2,2]")
         full = search(datum)
-        assert full == realizer.SearchResult(EXHAUSTED, None, 4_945)
+        assert full == realizer.SearchResult(EXHAUSTED, None, 5_013)
         assert search(datum, budget=full.nodes).status == EXHAUSTED
         for limit in (0, 4_928, full.nodes - 1):  # 4,928 nodes: the hunt's
             assert search(datum, budget=limit).status == BUDGET_EXCEEDED, limit
 
-    # at limit 20 the decider runs on 20 data (2 exceptional, both d=6),
-    # at 400 on 157 (10 exceptional, all d=8); numpy_min 0 scans in numpy
+    # a lower limit moves level 0 from the orbit representatives to the
+    # stabilizer-least rows on most data; numpy_min 0 scans in numpy
     @pytest.mark.parametrize(
-        "limit, numpy_min, misses, runs",
-        [(20, realizer._NUMPY_MIN, 2, 20), (400, realizer._NUMPY_MIN, 10, 157), (400, 0, 10, 157)],
+        "n, top, limit, numpy_min, runs",
+        [
+            (3, 8, 20, realizer._NUMPY_MIN, 651),
+            (3, 8, 400, realizer._NUMPY_MIN, 547),
+            (3, 8, 400, 0, 547),
+            (4, 6, 20, realizer._NUMPY_MIN, 280),
+        ],
     )
-    def test_agrees_with_the_walk(self, monkeypatch, limit, numpy_min, misses, runs):
-        data = [x for d in range(3, 9) for x in enumerate_compatible(d, [3])]
-        want = [search(datum).status for datum in data]
+    def test_agrees_with_orbit_reps(self, monkeypatch, n, top, limit, numpy_min, runs):
+        # n-point data of degree 3..top: same status and same first
+        # witness as the orbit representatives; only the nodes may differ
+        data = [x for d in range(3, top + 1) for x in enumerate_compatible(d, [n])]
+        want = [search(datum) for datum in data]
         monkeypatch.setattr(realizer, "_REDUCTION_LIMIT", limit)
         monkeypatch.setattr(realizer, "_NUMPY_MIN", numpy_min)
-        hits = []
-        swap_hits = realizer._swap_hits
+        calls = []
+        stabilizer_least = realizer._stabilizer_least
         monkeypatch.setattr(
-            realizer, "_swap_hits", lambda *args: hits.append(swap_hits(*args)) or hits[-1]
+            realizer, "_stabilizer_least", lambda *args: calls.append(args) or stabilizer_least(*args)
         )
-        got = [search(datum) for datum in data]
-        assert [res.status for res in got] == want
-        assert (hits.count(False), len(hits)) == (misses, runs)
-        # a hit falls through to the walk, which keeps its witness and nodes
-        monkeypatch.setattr(realizer, "_swap_hits", lambda *args: True)
-        walked = [search(datum) for datum in data]
-        for datum, res, ref in zip(data, got, walked):
-            if res.status == FOUND:
-                assert res == ref, format_datum(datum)
+        for datum, ref in zip(data, want):
+            res = search(datum)
+            assert (res.status, res.realization) == (ref.status, ref.realization), format_datum(datum)
+        assert len(calls) == runs
 
 
 def _hunt_args(line):
