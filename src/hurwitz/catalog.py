@@ -13,6 +13,7 @@ uninterrupted run's file.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -140,7 +141,12 @@ def _parse_record(raw: str, lineno: int) -> CatalogRecord:
         if kind not in _VERDICTS:
             raise ValueError(f"unknown verdict {verdict!r}")
         witness = "" if witness == "-" else witness
-        return CatalogRecord(parse_datum(text), kind, tag, witness, int(nodes), float(ms))
+        if not (nodes.isascii() and nodes.isdigit()):
+            raise ValueError(f"nodes {nodes!r} are not decimal digits")
+        millis = float(ms)
+        if not 0 <= millis < math.inf:  # nan compares false
+            raise ValueError(f"ms {ms!r} is not a finite non-negative number")
+        return CatalogRecord(parse_datum(text), kind, tag, witness, int(nodes), millis)
     except ValueError as exc:
         raise ValueError(f"corrupt catalog line {lineno}: {exc}") from exc
 

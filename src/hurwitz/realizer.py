@@ -47,10 +47,8 @@ keeps tau_1 and every condition of the walk, so the first row with a
 witness below it is its orbit's first: the walk finds the same first
 witness, and a walk without one still certifies exhaustion, at far
 fewer nodes (the (3,3,3,3)-anchored d = 12 data: 251,328-318,087 nodes
-down to 7,072-8,412).  The stream tests choices only while some anchor
-cycle holds no read point; after that the stabilizer is trivial, and
-every completion is kept.  How many rows are kept is not known before
-the walk, so no budget check is made up front.
+down to 7,072-8,412).  How many rows are kept is not known before the
+walk, so no budget check is made up front.
 
 Budgets count visited candidates.  Only a completed walk certifies
 exceptionality; a randomized witness hunt runs first whenever the
@@ -73,7 +71,8 @@ the memo holds at most that many entries per type.
 
 Classes come from one vectorised numpy enumerator, _class_chunks, as
 uint8 image rows in class_iterator order, at most _CHUNK rows at a time;
-given an anchor it yields the stabilizer-least rows only.  A class is
+_stabilizer_least reads the stabilizer-least rows point by point in
+Python and yields them in chunks of the same bound.  A class is
 cached per cycle type as one array when it takes at most _CACHE_BYTES
 (16 MiB, that is class size times degree bytes); orbit reduction, at
 every degree up to 256, selects rows of that array.  Both tables, per
@@ -90,7 +89,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import perm, prod
+from math import prod
 from typing import Iterator
 
 import numpy as np
@@ -200,13 +199,9 @@ _draws: dict[int, tuple[random.Random, np.ndarray]] = {}
 _conjugates: dict[tuple[int, ...], dict[int, Perm]] = {}
 
 
-def _class_chunks(
-    t: tuple[int, ...], anchor: tuple[int, ...] | None = None
-) -> Iterator[np.ndarray]:
+def _class_chunks(t: tuple[int, ...]) -> Iterator[np.ndarray]:
     """Every permutation of cycle type t as uint8 rows, in class_iterator
-    order, in chunks of at most _CHUNK rows.  With an anchor, only the
-    rows that pass the stabilizer rule of the anchor's centralizer (see
-    _stabilizer_least), coalesced into chunks of at most _CHUNK rows.
+    order, in chunks of at most _CHUNK rows.
 
     class_iterator closes a first cycle through point 0 for each length,
     longest first, and each ordered choice of its other points, and then
@@ -216,9 +211,6 @@ def _class_chunks(
     """
     if not t:
         yield np.empty((1, 0), dtype=np.uint8)  # the empty permutation
-        return
-    if anchor is not None:
-        yield from _coalesced(_stabilizer_least(t, anchor))
         return
     for ln in sorted(set(t), reverse=True):
         yield from _cycle_rows(ln, _without(t, ln))
@@ -270,18 +262,17 @@ def _cycle_rows(ln: int, rest: tuple[int, ...]) -> Iterator[np.ndarray]:
 
 def _stabilizer_least(t: tuple[int, ...], anchor: tuple[int, ...]) -> Iterator[np.ndarray]:
     """The rows of class t that pass the stabilizer rule of the anchor
-    (see the module docstring), in class_iterator order, in pieces of at
+    (see the module docstring), in class_iterator order, in chunks of at
     most _CHUNK rows.
 
-    The rows are read point by point, as class_iterator builds them, and
-    a choice that fails the rule is skipped.  Per anchor cycle length,
-    the cycles that hold a read point are the lowest ones, so the rule
-    reads: q is at most the first point of the lowest untouched anchor
-    cycle of its length (bound).  Once every anchor cycle holds a read
-    point the stabilizer is trivial, and the rest of the row is completed
-    in every way at once, through _cycle_rows, unless that leaves a
-    single row.  Within one stream the completions of each shape that
-    fit in a chunk are built once.
+    Each row is read point by point, as class_iterator builds it, and a
+    choice that fails the rule is skipped.  Per anchor cycle length, the
+    cycles that hold a read point are the lowest ones, so the rule reads:
+    q is at most the first point of the lowest untouched anchor cycle of
+    its length (bound).  Touching that cycle moves the bound on by the
+    length; once every cycle of a length is touched, the bound is past
+    all of its points, and they all pass.  The kept rows are buffered as
+    bytes and each chunk is one array over them.
     """
     d = sum(t)
     group = [0] * d  # per point, the index of its anchor cycle's length
@@ -292,96 +283,50 @@ def _stabilizer_least(t: tuple[int, ...], anchor: tuple[int, ...]) -> Iterator[n
         bound.append(start)
         step.append(ln)
         start += k * ln
-    untouched = len(anchor)
     images = [0] * d  # of the points read, all but the last one's
-    rows: list[list[int]] = []  # rows completed here, not yet yielded
-    shapes: dict[tuple[int, tuple[int, ...]], list[np.ndarray]] = {}
+    rows = bytearray()  # rows kept, not yet yielded
+    full = _CHUNK * d
 
-    def mark(g: int, sign: int) -> None:
-        # the lowest untouched anchor cycle of length step[g] is touched
-        # (sign 1), or the highest touched one untouched again (sign -1)
-        nonlocal untouched
-        bound[g] += sign * step[g]
-        untouched -= sign
-
-    def read(cycle: list[int], r: int, rest: tuple[int, ...], unused: list[int]):
-        # cycle: the open cycle's points read so far, r: its points left
+    def read(a: int, p: int, r: int, rest: tuple[int, ...], unused: list[int]):
+        # a: the open cycle's opening point, p: its last point read, r:
+        # its points left
         nonlocal rows
-        if not untouched and perm(len(unused), r) * class_size(rest) > 1:
-            if rows:
-                yield np.array(rows, dtype=np.uint8)
-                rows = []
-            yield from complete(cycle, r, rest, unused)
-        elif r:
+        if r:
             for i, q in enumerate(unused):
                 g = group[q]
                 if q > bound[g]:
                     continue
-                fresh = q == bound[g]
+                fresh = q == bound[g]  # q touches the next anchor cycle
                 if fresh:
-                    mark(g, 1)
-                images[cycle[-1]] = q
-                yield from read(cycle + [q], r - 1, rest, unused[:i] + unused[i + 1 :])
+                    bound[g] += step[g]
+                images[p] = q
+                yield from read(a, q, r - 1, rest, unused[:i] + unused[i + 1 :])
                 if fresh:
-                    mark(g, -1)
-        elif rest:
-            images[cycle[-1]] = cycle[0]
-            yield from open_cycle(rest, unused)
+                    bound[g] -= step[g]
         else:
-            images[cycle[-1]] = cycle[0]
-            rows.append(images[:])
-            if len(rows) == _CHUNK:
-                yield np.array(rows, dtype=np.uint8)
-                rows = []
+            images[p] = a  # the cycle closes
+            if rest:
+                yield from open_cycle(rest, unused)
+            else:
+                rows.extend(images)
+                if len(rows) == full:
+                    yield np.frombuffer(rows, dtype=np.uint8).reshape(-1, d)
+                    rows = bytearray()
 
     def open_cycle(rest: tuple[int, ...], unused: list[int]):
         a = unused[0]  # every point below it is read, so it passes the rule
         g = group[a]
         fresh = a == bound[g]
         if fresh:
-            mark(g, 1)
+            bound[g] += step[g]
         for ln in sorted(set(rest), reverse=True):
-            yield from read([a], ln - 1, _without(rest, ln), unused[1:])
+            yield from read(a, a, ln - 1, _without(rest, ln), unused[1:])
         if fresh:
-            mark(g, -1)
-
-    def complete(cycle: list[int], r: int, rest: tuple[int, ...], unused: list[int]):
-        # the rows of _cycle_rows(r + 1, rest) relabelled by 0 -> the last
-        # point read and 1.. -> the unused points in increasing order; the
-        # point that then maps to the last point read maps to the opening one
-        subs = shapes.get((r, rest))
-        if subs is None:
-            subs = _cycle_rows(r + 1, rest)
-            if perm(len(unused), r) * class_size(rest) <= _CHUNK:
-                subs = shapes[r, rest] = [np.concatenate(list(subs))]
-        a, p = cycle[0], cycle[-1]
-        points = np.array([p, *unused], dtype=np.uint8)
-        row = np.array(images, dtype=np.uint8)
-        for sub in subs:
-            relabelled = points[sub]
-            relabelled[relabelled == p] = a
-            block = np.broadcast_to(row, (len(sub), d)).copy()
-            block[:, points] = relabelled
-            yield block
+            bound[g] -= step[g]
 
     yield from open_cycle(t, list(range(d)))
     if rows:
-        yield np.array(rows, dtype=np.uint8)
-
-
-def _coalesced(pieces: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-    """Pieces of at most _CHUNK rows joined, in order, into chunks of at
-    most _CHUNK rows."""
-    held: list[np.ndarray] = []
-    size = 0
-    for piece in pieces:
-        if size + len(piece) > _CHUNK:
-            yield np.concatenate(held) if len(held) > 1 else held[0]
-            held, size = [], 0
-        held.append(piece)
-        size += len(piece)
-    if held:
-        yield np.concatenate(held) if len(held) > 1 else held[0]
+        yield np.frombuffer(rows, dtype=np.uint8).reshape(-1, d)
 
 
 def _beside_cycle(cycle: np.ndarray, sub: np.ndarray) -> np.ndarray:
@@ -633,9 +578,9 @@ def _scan_python(source, pi, target, parent, budget, gens_for_transitivity, d):
 def _row_chunks(source) -> Iterator[np.ndarray]:
     """The rows of a plan entry, at most _CHUNK at a time.  A table is
     sliced in chunks that start small and double, so a scan that stops
-    early touches few rows; a cycle type's class, or the
-    stabilizer-least rows of a (cycle type, anchor) pair, are streamed
-    by _class_chunks."""
+    early touches few rows; a cycle type's class is streamed by
+    _class_chunks, and the stabilizer-least rows of a (cycle type,
+    anchor) pair by _stabilizer_least."""
     if isinstance(source, np.ndarray):
         start, size = 0, 16
         while start < len(source):
@@ -644,7 +589,7 @@ def _row_chunks(source) -> Iterator[np.ndarray]:
             start += size
             size *= 2
     elif isinstance(source[0], tuple):
-        yield from _class_chunks(*source)
+        yield from _stabilizer_least(*source)
     else:
         yield from _class_chunks(source)
 
@@ -686,10 +631,12 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
 
     Returns FOUND with a verified witness, EXHAUSTED when the whole
     anchored space has been covered (certifying exceptionality), or
-    BUDGET_EXCEEDED.  The budget is counted in visited candidates and
-    the result is eagerly BUDGET_EXCEEDED when the second class's orbit
-    representatives alone exceed it.  Deterministic: same datum, same
-    outcome.
+    BUDGET_EXCEEDED.  The budget is counted in visited candidates.
+    When level 0 is a table of the second class's orbit representatives
+    (the class has at most _REDUCTION_LIMIT elements), the result is
+    eagerly BUDGET_EXCEEDED when those representatives alone exceed it;
+    stabilizer-least rows are streamed, and their count is not known up
+    front.  Deterministic: same datum, same outcome.
     """
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")

@@ -196,9 +196,24 @@ class TestRunCatalog:
         with pytest.raises(ValueError, match=match):
             run_catalog(3, 3, out_path=str(path), resume=True)
 
-    @pytest.mark.parametrize("column", [4, 5])
-    def test_non_numeric_column_reports_line(self, tmp_path, column):
-        self.check_rejected(tmp_path, column, "x1", "corrupt catalog line 3: ")
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            pytest.param(4, "x1", id="4"),
+            pytest.param(5, "x1", id="5"),
+            # int() and float() take these, but the columns would not
+            # round trip: nodes are decimal digits, ms finite and >= 0
+            pytest.param(4, "-5", id="4-negative"),
+            pytest.param(4, "1_000", id="4-underscore"),
+            pytest.param(4, " 7 ", id="4-spaces"),
+            pytest.param(5, "nan", id="5-nan"),
+            pytest.param(5, "inf", id="5-inf"),
+            pytest.param(5, "-inf", id="5-minus-inf"),
+            pytest.param(5, "-2.5", id="5-negative"),
+        ],
+    )
+    def test_non_numeric_column_reports_line(self, tmp_path, column, value):
+        self.check_rejected(tmp_path, column, value, "corrupt catalog line 3: ")
 
     def test_unknown_verdict_reports_line(self, tmp_path):
         self.check_rejected(tmp_path, 1, "BOGUS", "corrupt catalog line 3: unknown verdict")

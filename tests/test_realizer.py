@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import os
 import random
 import subprocess
@@ -367,7 +368,7 @@ class TestClassTable:
                 reference = _reference_rows(t)
                 index = {row.tobytes(): i for i, row in enumerate(reference)}
                 for anchor in types:
-                    chunks = list(realizer._class_chunks(t, anchor))
+                    chunks = list(realizer._stabilizer_least(t, anchor))
                     assert max(map(len, chunks)) <= chunk, (anchor, t)
                     kept = [index[row.tobytes()] for row in np.concatenate(chunks)]
                     assert kept == sorted(set(kept)), (anchor, t)
@@ -377,6 +378,31 @@ class TestClassTable:
                     kept_rows += len(kept)
         # of the 84,503 rows of the 434 classes
         assert (pairs, kept_rows) == (434, 30_913)
+
+    STREAM_PINS = [
+        ((3, 3, 3, 3), (4, 2, 2, 2, 2), 2175, "26a244977108b92fd9e48ec45e945255"),
+        ((3, 3, 3, 3), (3, 3, 3, 3), 2144, "2ef025bdb75416ec968e8e9dc27ff647"),
+        ((2,) * 6, (3, 3, 3, 3), 85, "95c3641cc3b44921939189a9f0c1b359"),
+        ((2,) * 7, (3, 3, 3, 3, 2), 815, "ef51686fe6f42a4cdfff9103d65e6d78"),
+        ((2,) * 8, (2,) * 8, 128, "4926bdf9010cbd27be447a1ea4d0967b"),
+    ]
+
+    @pytest.mark.parametrize("chunk", [7, realizer._CHUNK])
+    def test_stabilizer_least_streams_pinned(self, monkeypatch, chunk):
+        # kept rows of (anchor, type) pairs of d = 12..16, above the
+        # degrees test_stabilizer_least_rows checks against the orbits;
+        # (5,5,2) under (3,3,3,2,1) crosses default chunks, and at 7 rows
+        # a chunk it would only repeat that check slowly
+        pins = self.STREAM_PINS
+        if chunk == realizer._CHUNK:
+            pins = pins + [((3, 3, 3, 2, 1), (5, 5, 2), 144_144, "4e2e73e302363168c82512fb5557ea3d")]
+        monkeypatch.setattr(realizer, "_CHUNK", chunk)
+        for anchor, t, count, md5 in pins:
+            chunks = list(realizer._stabilizer_least(t, anchor))
+            assert max(map(len, chunks)) <= chunk, (anchor, t)
+            rows = np.concatenate(chunks)
+            assert rows.dtype == np.uint8 and rows.shape == (count, sum(t)), (anchor, t)
+            assert hashlib.md5(rows.tobytes()).hexdigest() == md5, (anchor, t)
 
     def test_orbit_firsts_agree_with_hashed_reduction(self):
         pairs = [
