@@ -33,7 +33,8 @@ from .core import (
 from .criteria import (
     DEFAULT_BUDGET, EXCEPTIONAL, INCOMPATIBLE, REALIZABLE, UNKNOWN, classify,
 )
-from .perms import Perm, format_cycles
+from .perms import Perm, format_cycles, parse_cycles
+from .realizer import Realization, verify_witness
 
 
 CATALOG_COLUMNS = ("datum", "verdict", "tag", "witness", "nodes", "ms")
@@ -82,23 +83,26 @@ def enumerate_compatible(
         raise ValueError("degree must be at least 2")
     menu = [p for p in partitions_of(d) if not p.is_trivial]
     lengths = [len(p.parts) for p in menu]
-    fewest = lengths[:]  # fewest[i]: the fewest parts among menu[i:]
-    for i in range(len(menu) - 2, -1, -1):
+    fewest = lengths + [math.inf]  # fewest[i]: the fewest parts among menu[i:]
+    for i in range(len(menu) - 1, -1, -1):
         fewest[i] = min(fewest[i], fewest[i + 1])
     chi_max = 2 if base.orientable or d % 2 == 0 else 1
 
     def combos(start: int, k: int, n_tilde: int, head: tuple) -> Iterator[tuple[tuple, int]]:
         # head completed by k >= 1 partitions of menu[start:] to at most
-        # cap preimages, with the preimage totals
+        # cap preimages, with the preimage totals.  Each call places every
+        # copy of a first menu[i], most copies first, so the depth is at
+        # most the menu's length, whatever k is.
         for i in range(start, len(menu)):
             if n_tilde + k * fewest[i] > cap:
                 break  # fewest[i] only grows with i
-            total = n_tilde + lengths[i]
-            if total + (k - 1) * fewest[i] <= cap:
-                if k == 1:
-                    yield (*head, menu[i]), total
-                else:
-                    yield from combos(i, k - 1, total, (*head, menu[i]))
+            total = n_tilde + k * lengths[i]
+            if total <= cap:
+                yield head + (menu[i],) * k, total
+            for c in range(k - 1, 0, -1):  # c copies, then k - c of menu[i + 1:]
+                total = n_tilde + c * lengths[i]
+                if total + (k - c) * fewest[i + 1] <= cap:
+                    yield from combos(i + 1, k - c, total, head + (menu[i],) * c)
 
     for n in sorted(set(n_values)):
         if n < 0:
@@ -131,7 +135,9 @@ def _classify_record(datum: BranchDatum, budget: int) -> CatalogRecord:
 
 def _parse_record(raw: str, lineno: int) -> CatalogRecord:
     """The record of one file line, the inverse of CatalogRecord.line;
-    every column is checked."""
+    every column is checked, and a witness, which only a REALIZABLE
+    record may carry, must parse at the datum's degree and pass
+    verify_witness."""
     cols = raw.split("\t")
     try:
         if len(cols) != len(CATALOG_COLUMNS):
@@ -140,13 +146,20 @@ def _parse_record(raw: str, lineno: int) -> CatalogRecord:
         kind = verdict.lower()
         if kind not in _VERDICTS:
             raise ValueError(f"unknown verdict {verdict!r}")
+        datum = parse_datum(text)
         witness = "" if witness == "-" else witness
+        if witness:
+            if kind != REALIZABLE:
+                raise ValueError(f"only a REALIZABLE record carries a witness, not {verdict}")
+            taus = tuple(parse_cycles(s, datum.degree) for s in witness.split(";"))
+            if not verify_witness(datum, Realization(datum.degree, taus)):
+                raise ValueError("the witness does not realize the datum")
         if not (nodes.isascii() and nodes.isdigit()):
             raise ValueError(f"nodes {nodes!r} are not decimal digits")
         millis = float(ms)
         if not 0 <= millis < math.inf:  # nan compares false
             raise ValueError(f"ms {ms!r} is not a finite non-negative number")
-        return CatalogRecord(parse_datum(text), kind, tag, witness, int(nodes), millis)
+        return CatalogRecord(datum, kind, tag, witness, int(nodes), millis)
     except ValueError as exc:
         raise ValueError(f"corrupt catalog line {lineno}: {exc}") from exc
 

@@ -8,7 +8,6 @@ for the identity.
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections import Counter
 from functools import lru_cache
@@ -135,44 +134,88 @@ def class_representative(t: tuple[int, ...]) -> Perm:
     return tuple(images)
 
 
-def class_iterator(t: tuple[int, ...]) -> Iterator[Perm]:
-    """Stream every permutation of cycle type t exactly once.
+def class_rows(
+    t: tuple[int, ...], anchor: tuple[int, ...] | None, chunk: int
+) -> Iterator[bytearray]:
+    """The permutations of cycle type t, 1 <= d = sum(t) <= 256, in class
+    order, as bytearrays of at most ``chunk`` rows of d image bytes; with
+    an anchor cycle type, only the rows that pass its stabilizer rule.
 
-    Cycles are assigned by backtracking, always anchoring the next cycle
-    at the smallest unused point; equal cycle lengths are tried once per
-    anchor, which dedups without hashing.
+    Class order reads a row cycle by cycle, each from its opening point
+    a, the least point not yet read, through sigma(a), sigma^2(a), ...:
+    a's cycle length is chosen longest first, and each point read in
+    increasing order.  With the anchor's cycles laid out as in
+    class_representative, a point q read passes the rule when it is at
+    most the first point of the lowest untouched anchor cycle of its
+    length (bound); touching that cycle moves the bound on by the
+    length.  An opening point always passes, and without an anchor so
+    does every point.  The realizer docstring proves that the rule keeps
+    every orbit's first row under the anchor's centralizer.
     """
     d = sum(t)
+    group, bound, step = [0] * d, [d], [0]  # group: per point, its length's index
+    if anchor is not None:
+        group, bound, step = [], [], []
+        for ln, k in sorted(Counter(anchor).items(), reverse=True):
+            bound.append(len(group))
+            group += [len(step)] * (k * ln)
+            step.append(ln)
     counts = Counter(t)
     lengths = sorted(counts, reverse=True)
-    images = [0] * d
-    used = bytearray(d)
+    images = [0] * d  # of the points read, all but the last one's
+    rows = bytearray()  # rows read, not yet yielded
 
-    def rec(remaining: int) -> Iterator[Perm]:
-        if remaining == 0:
-            yield tuple(images)
+    def read(a: int, p: int, r: int, left: int, unused: list[int]) -> Iterator[bytearray]:
+        # a: the open cycle's opening point, p: its last point read, r: its
+        # points left to read, left: the points of the cycles not yet opened
+        nonlocal rows
+        if r:
+            for i, q in enumerate(unused):
+                g = group[q]
+                if q > bound[g]:
+                    continue
+                fresh = q == bound[g]  # q touches the next anchor cycle
+                if fresh:
+                    bound[g] += step[g]
+                images[p] = q
+                yield from read(a, q, r - 1, left, unused[:i] + unused[i + 1 :])
+                if fresh:
+                    bound[g] -= step[g]
             return
-        a = used.index(0)
-        used[a] = 1
+        images[p] = a  # the cycle closes
+        if not left:
+            rows.extend(images)
+            if len(rows) == chunk * d:
+                yield rows
+                rows = bytearray()
+            return
+        a = unused[0]
+        g = group[a]
+        fresh = a == bound[g]
+        if fresh:
+            bound[g] += step[g]
         for ln in lengths:
-            if counts[ln] == 0:
-                continue
-            counts[ln] -= 1
-            pool = [i for i in range(d) if not used[i]]
-            for rest in itertools.permutations(pool, ln - 1):
-                prev = a
-                for x in rest:
-                    images[prev] = x
-                    used[x] = 1
-                    prev = x
-                images[prev] = a
-                yield from rec(remaining - ln)
-                for x in rest:
-                    used[x] = 0
-            counts[ln] += 1
-        used[a] = 0
+            if counts[ln]:
+                counts[ln] -= 1
+                yield from read(a, a, ln - 1, left - ln, unused[1:])
+                counts[ln] += 1
+        if fresh:
+            bound[g] -= step[g]
 
-    return rec(d)
+    # a closed cycle through 0, rewritten when 0 opens the first cycle
+    yield from read(0, 0, 0, d, list(range(d)))
+    if rows:
+        yield rows
+
+
+def class_iterator(t: tuple[int, ...]) -> Iterator[Perm]:
+    """Every permutation of cycle type t exactly once, in class order
+    (class_rows); for t = () the empty permutation, once."""
+    if not t:
+        yield ()
+        return
+    for rows in class_rows(t, None, 4096):
+        yield from zip(*[iter(rows)] * sum(t))
 
 
 def centralizer_generators(t: tuple[int, ...]) -> list[Perm]:

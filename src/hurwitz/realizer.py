@@ -25,9 +25,9 @@ Pruning, all of it certificate-preserving:
 * the orbit partition of the placed generators must be mergeable into
   one orbit by the cycles the remaining enumerated classes can offer.
 
-Stabilizer-least rows.  A row sigma is read in class order: each
-cycle's opening point a (the least point not yet read), then sigma(a),
-sigma^2(a), ... until the cycle closes.  sigma is kept when every point
+Stabilizer-least rows.  A row sigma is read in class order (see
+perms.class_rows): from each cycle's opening point a, the least point
+not yet read, to the cycle's close.  sigma is kept when every point
 q read that is not an opening point is the least of its orbit under
 the pointwise stabilizer, in C, of the points read before it.  C is
 the product over the anchor's cycle lengths l of C_l wr S_k, so that
@@ -70,9 +70,9 @@ attempts, at most _HUNT_PY x len(middle) per hunt, are ever stored, so
 the memo holds at most that many entries per type.
 
 Classes come from one vectorised numpy enumerator, _class_chunks, as
-uint8 image rows in class_iterator order, at most _CHUNK rows at a time;
-_stabilizer_least reads the stabilizer-least rows point by point in
-Python and yields them in chunks of the same bound.  A class is
+uint8 image rows in class order, at most _CHUNK rows at a time, and
+the stabilizer-least rows from perms.class_rows, read point by point in
+Python, in chunks of the same bound.  A class is
 cached per cycle type as one array when it takes at most _CACHE_BYTES
 (16 MiB, that is class size times degree bytes); orbit reduction, at
 every degree up to 256, selects rows of that array.  Both tables, per
@@ -86,7 +86,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -100,6 +99,7 @@ from .core import SPHERE, BranchDatum, check_compatibility
 from .perms import (
     Perm,
     class_iterator,  # noqa: F401
+    class_rows,
     class_representative,
     class_size,
     centralizer_generators,
@@ -200,14 +200,14 @@ _conjugates: dict[tuple[int, ...], dict[int, Perm]] = {}
 
 
 def _class_chunks(t: tuple[int, ...]) -> Iterator[np.ndarray]:
-    """Every permutation of cycle type t as uint8 rows, in class_iterator
-    order, in chunks of at most _CHUNK rows.
+    """Every permutation of cycle type t as uint8 rows, in class order
+    (perms.class_rows), in chunks of at most _CHUNK rows.
 
-    class_iterator closes a first cycle through point 0 for each length,
+    Class order closes a first cycle through point 0 for each length,
     longest first, and each ordered choice of its other points, and then
-    enumerates the rest of the class on the unused points, which is the
-    class of the remaining type relabelled in increasing order.  So the
-    class is the blocks of _cycle_rows, one per length.
+    reads the rest of the class on the unused points, which is the class
+    of the remaining type relabelled in increasing order.  So the class
+    is the blocks of _cycle_rows, one per length.
     """
     if not t:
         yield np.empty((1, 0), dtype=np.uint8)  # the empty permutation
@@ -223,7 +223,7 @@ def _without(t: tuple[int, ...], ln: int) -> tuple[int, ...]:
 
 def _cycle_rows(ln: int, rest: tuple[int, ...]) -> Iterator[np.ndarray]:
     """The rows of class (ln, *rest) whose cycle through 0 has length ln,
-    in class_iterator order, in chunks of at most _CHUNK rows.
+    in class order (perms.class_rows), in chunks of at most _CHUNK rows.
 
     Each block (choice of the cycle's other points) is class rest
     conjugated by the relabelling g with g(0) = 0, g(1..ln-1) = the
@@ -262,70 +262,11 @@ def _cycle_rows(ln: int, rest: tuple[int, ...]) -> Iterator[np.ndarray]:
 
 def _stabilizer_least(t: tuple[int, ...], anchor: tuple[int, ...]) -> Iterator[np.ndarray]:
     """The rows of class t that pass the stabilizer rule of the anchor
-    (see the module docstring), in class_iterator order, in chunks of at
-    most _CHUNK rows.
-
-    Each row is read point by point, as class_iterator builds it, and a
-    choice that fails the rule is skipped.  Per anchor cycle length, the
-    cycles that hold a read point are the lowest ones, so the rule reads:
-    q is at most the first point of the lowest untouched anchor cycle of
-    its length (bound).  Touching that cycle moves the bound on by the
-    length; once every cycle of a length is touched, the bound is past
-    all of its points, and they all pass.  The kept rows are buffered as
-    bytes and each chunk is one array over them.
-    """
+    (see the module docstring), in class order, in chunks of at most
+    _CHUNK rows: perms.class_rows reads them, and each chunk is one
+    array over its bytes."""
     d = sum(t)
-    group = [0] * d  # per point, the index of its anchor cycle's length
-    bound, step = [], []
-    start = 0
-    for ln, k in sorted(Counter(anchor).items(), reverse=True):
-        group[start : start + k * ln] = [len(step)] * (k * ln)
-        bound.append(start)
-        step.append(ln)
-        start += k * ln
-    images = [0] * d  # of the points read, all but the last one's
-    rows = bytearray()  # rows kept, not yet yielded
-    full = _CHUNK * d
-
-    def read(a: int, p: int, r: int, rest: tuple[int, ...], unused: list[int]):
-        # a: the open cycle's opening point, p: its last point read, r:
-        # its points left
-        nonlocal rows
-        if r:
-            for i, q in enumerate(unused):
-                g = group[q]
-                if q > bound[g]:
-                    continue
-                fresh = q == bound[g]  # q touches the next anchor cycle
-                if fresh:
-                    bound[g] += step[g]
-                images[p] = q
-                yield from read(a, q, r - 1, rest, unused[:i] + unused[i + 1 :])
-                if fresh:
-                    bound[g] -= step[g]
-        else:
-            images[p] = a  # the cycle closes
-            if rest:
-                yield from open_cycle(rest, unused)
-            else:
-                rows.extend(images)
-                if len(rows) == full:
-                    yield np.frombuffer(rows, dtype=np.uint8).reshape(-1, d)
-                    rows = bytearray()
-
-    def open_cycle(rest: tuple[int, ...], unused: list[int]):
-        a = unused[0]  # every point below it is read, so it passes the rule
-        g = group[a]
-        fresh = a == bound[g]
-        if fresh:
-            bound[g] += step[g]
-        for ln in sorted(set(rest), reverse=True):
-            yield from read(a, a, ln - 1, _without(rest, ln), unused[1:])
-        if fresh:
-            bound[g] -= step[g]
-
-    yield from open_cycle(t, list(range(d)))
-    if rows:
+    for rows in class_rows(t, anchor, _CHUNK):
         yield np.frombuffer(rows, dtype=np.uint8).reshape(-1, d)
 
 
@@ -600,13 +541,6 @@ def _perms(source) -> Iterator[Perm]:
         yield from map(tuple, chunk.tolist())
 
 
-def _row_count(source) -> int:
-    """The rows of a plan entry; of a pruned class, those of the class."""
-    if isinstance(source, np.ndarray):
-        return len(source)
-    return class_size(source[0] if isinstance(source[0], tuple) else source)
-
-
 def _scan_numpy(source, pi, target, parent, budget, gens_for_transitivity, d):
     pi_arr = np.array(pi, dtype=np.uint8)
     tfix = _target_fix_counts(target, d)
@@ -697,7 +631,10 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
         def walk(j: int, pi: Perm, parent: list[int], gens: tuple[Perm, ...]) -> None:
             source = plan[j]
             if j == last:
-                scan = _scan_numpy if _row_count(source) >= _NUMPY_MIN else _scan_python
+                # streamed entries exceed _NUMPY_MIN rows: _REDUCTION_LIMIT
+                # at level 0, _CACHE_BYTES / d >= 65,536 at a later level
+                short = isinstance(source, np.ndarray) and len(source) < _NUMPY_MIN
+                scan = _scan_python if short else _scan_numpy
                 scan(source, pi, target, parent, bud, gens, d)
                 return
             for sigma in _perms(source):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import os
+import re
 import subprocess
 import sys
 
@@ -70,6 +71,11 @@ class TestEnumerate:
     def test_each_exactly_once(self):
         got = [format_datum(x) for x in enumerate_compatible(6, range(0, 5), SPHERE)]
         assert len(got) == len(set(got))
+
+    def test_many_points_need_no_deep_recursion(self):
+        # the depth of the multiset walk is bounded by the menu, not by n
+        got = [format_datum(x) for x in enumerate_compatible(2, [1500])]
+        assert got == ["d=2 cover=O749 base=O0 parts=[" + "|".join(["2"] * 1500) + "]"]
 
     def test_empty_range(self):
         assert list(enumerate_compatible(5, [], SPHERE)) == []
@@ -181,20 +187,22 @@ class TestRunCatalog:
             run_catalog(3, 5, out_path=str(bad), resume=True)
 
     @staticmethod
-    def check_rejected(tmp_path, column, value, match):
-        """Replace one column of the first record (line 3) of a d <= 3
-        catalog; reading and resuming the file must both fail on it."""
+    def check_rejected(tmp_path, changes, match, lineno=3, d_max=3):
+        """Replace columns (index: text) of the record on line lineno of a
+        d <= d_max, n <= 3 catalog; reading and resuming the file must
+        both fail on it with an error that contains match."""
         path = tmp_path / "cat.tsv"
-        run_catalog(3, 3, out_path=str(path))
+        run_catalog(d_max, 3, out_path=str(path))
         lines = path.read_text().splitlines()
-        cols = lines[2].split("\t")
-        cols[column] = value
-        lines[2] = "\t".join(cols)
+        cols = lines[lineno - 1].split("\t")
+        for column, value in changes.items():
+            cols[column] = value
+        lines[lineno - 1] = "\t".join(cols)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=re.escape(match)):
             read_catalog(str(path))
-        with pytest.raises(ValueError, match=match):
-            run_catalog(3, 3, out_path=str(path), resume=True)
+        with pytest.raises(ValueError, match=re.escape(match)):
+            run_catalog(d_max, 3, out_path=str(path), resume=True)
 
     @pytest.mark.parametrize(
         "column, value",
@@ -213,10 +221,42 @@ class TestRunCatalog:
         ],
     )
     def test_non_numeric_column_reports_line(self, tmp_path, column, value):
-        self.check_rejected(tmp_path, column, value, "corrupt catalog line 3: ")
+        self.check_rejected(tmp_path, {column: value}, "corrupt catalog line 3: ")
 
     def test_unknown_verdict_reports_line(self, tmp_path):
-        self.check_rejected(tmp_path, 1, "BOGUS", "corrupt catalog line 3: unknown verdict")
+        self.check_rejected(tmp_path, {1: "BOGUS"}, "corrupt catalog line 3: unknown verdict")
+
+    # in a d <= 4 catalog, line 3 is d=2 [2|2], realizable, which
+    # (1 2);(1 2) realizes, and line 9 the exceptional d=4 [3,1|2,2|2,2]
+    @pytest.mark.parametrize(
+        "lineno, changes, match",
+        [
+            pytest.param(3, {3: "garbage;(9 9)"}, "bad cycle notation", id="unparsable"),
+            pytest.param(3, {3: "(1 2);(9 9)"}, "point 9 out of range 1..2", id="out-of-range"),
+            pytest.param(3, {3: "(1 2);()"}, "the witness does not realize", id="wrong-product"),
+            pytest.param(3, {3: "(1 2)"}, "the witness does not realize", id="one-permutation"),
+            pytest.param(
+                3, {1: "EXCEPTIONAL", 3: "(1 2);(1 2)"},
+                "only a REALIZABLE record carries a witness, not EXCEPTIONAL",
+                id="exceptional",
+            ),
+            pytest.param(
+                9, {3: "garbage;(9 9)"}, "only a REALIZABLE record carries a witness",
+                id="d4-exception",
+            ),
+        ],
+    )
+    def test_unchecked_witness_reports_line(self, tmp_path, lineno, changes, match):
+        self.check_rejected(
+            tmp_path, changes, f"corrupt catalog line {lineno}: {match}", lineno, d_max=4
+        )
+
+    def test_witnesses_read_back(self, tmp_path):
+        path = tmp_path / "cat.tsv"
+        records = run_catalog(5, 3, out_path=str(path))
+        assert sum(bool(r.witness) for r in records) == 6
+        fields = lambda rs: [(r.datum, r.verdict, r.tag, r.witness, r.nodes) for r in rs]
+        assert fields(read_catalog(str(path))) == fields(records)
 
     def test_fresh_run_parses_no_datum(self, tmp_path, monkeypatch):
         def refuse(line):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ from hurwitz.perms import (
     centralizer_generators,
     class_iterator,
     class_representative,
+    class_rows,
     class_size,
     compose,
     conjugate,
@@ -127,6 +129,7 @@ class TestClassIterator:
         assert sum(1 for _ in class_iterator((2, 1, 1))) == 6
         assert sum(1 for _ in class_iterator((4,))) == 6
         assert sum(1 for _ in class_iterator((2, 2))) == 3
+        assert list(class_iterator(())) == [()]  # the empty permutation
 
     def test_exact_set_for_double_transposition(self):
         got = {format_cycles(p) for p in class_iterator((2, 2))}
@@ -150,6 +153,38 @@ class TestClassIterator:
             for part in partitions_of(d):
                 t = part.parts
                 assert sum(1 for _ in class_iterator(t)) == class_size(t)
+
+    @pytest.mark.parametrize(
+        "top, rows, md5",
+        [
+            (8, 46_233, "da34aa7cd858653fae21cfa64fd455e0"),
+            (9, 409_113, "010b9e27306e22843950c7d769aaafb8"),
+        ],
+    )
+    def test_class_order_pinned(self, top, rows, md5):
+        # every class of degree up to top, in partitions_of order, its rows
+        # as image bytes: the class order, whatever enumerates it
+        from hurwitz.core import partitions_of
+
+        h = hashlib.md5()
+        count = 0
+        for d in range(1, top + 1):
+            for part in partitions_of(d):
+                for p in class_iterator(part.parts):
+                    h.update(bytes(p))
+                    count += 1
+        assert (count, h.hexdigest()) == (rows, md5)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_class_rows_chunks(self, chunk):
+        from hurwitz.core import partitions_of
+
+        for d in range(1, 7):
+            for t in (p.parts for p in partitions_of(d)):
+                chunks = list(class_rows(t, None, chunk))
+                assert all(type(c) is bytearray and 0 < len(c) <= chunk * d for c in chunks)
+                assert all(len(c) == chunk * d for c in chunks[:-1]), t
+                assert b"".join(chunks) == b"".join(map(bytes, class_iterator(t))), t
 
 
 class TestCentralizer:

@@ -27,6 +27,7 @@ from hurwitz.perms import (
     centralizer_generators,
     class_iterator,
     class_representative,
+    class_rows,
     class_size,
     conjugate,
     inverse,
@@ -543,10 +544,18 @@ def _watch_streaming(monkeypatch):
 class TestStreamedClasses:
     @pytest.fixture(autouse=True)
     def no_class_iterator(self, monkeypatch):
+        # the search never reads a whole class in Python: only the
+        # stabilizer-least rows of an anchor
         def refuse(t):
             raise AssertionError("the search called class_iterator")
 
+        def anchored_only(t, anchor, chunk):
+            if anchor is None:
+                raise AssertionError("the search read a whole class with class_rows")
+            return class_rows(t, anchor, chunk)
+
         monkeypatch.setattr(realizer, "class_iterator", refuse)
+        monkeypatch.setattr(realizer, "class_rows", anchored_only)
 
     @pytest.mark.parametrize(
         "line, nodes",
