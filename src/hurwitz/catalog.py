@@ -39,6 +39,11 @@ from .realizer import Realization, verify_witness
 
 CATALOG_COLUMNS = ("datum", "verdict", "tag", "witness", "nodes", "ms")
 _VERDICTS = frozenset((REALIZABLE, EXCEPTIONAL, INCOMPATIBLE, UNKNOWN))
+# (verdict, tag, has a witness) of each outcome of the search
+_SEARCH_OUTCOMES = frozenset(
+    ((REALIZABLE, "search-found", True), (EXCEPTIONAL, "search-exhausted", False),
+     (UNKNOWN, "budget-exceeded", False))
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,9 +140,11 @@ def _classify_record(datum: BranchDatum, budget: int) -> CatalogRecord:
 
 def _parse_record(raw: str, lineno: int) -> CatalogRecord:
     """The record of one file line, the inverse of CatalogRecord.line;
-    every column is checked, and a witness, which only a REALIZABLE
-    record may carry, must parse at the datum's degree and pass
-    verify_witness."""
+    every column is checked.  A witness, which only a REALIZABLE record
+    may carry, must parse at the datum's degree and pass verify_witness.
+    Where classify(datum, 0) is decided, the verdict and tag must be its
+    kind and provenance, with no witness; elsewhere they must be an
+    outcome of the search (_SEARCH_OUTCOMES)."""
     cols = raw.split("\t")
     try:
         if len(cols) != len(CATALOG_COLUMNS):
@@ -154,6 +161,15 @@ def _parse_record(raw: str, lineno: int) -> CatalogRecord:
             taus = tuple(parse_cycles(s, datum.degree) for s in witness.split(";"))
             if not verify_witness(datum, Realization(datum.degree, taus)):
                 raise ValueError("the witness does not realize the datum")
+        ruled = classify(datum, 0)
+        if ruled.kind != UNKNOWN:
+            if (kind, tag, witness) != (ruled.kind, ruled.provenance, ""):
+                raise ValueError(
+                    f"the datum is {ruled.kind.upper()} {ruled.provenance}, no witness"
+                )
+        elif (kind, tag, bool(witness)) not in _SEARCH_OUTCOMES:
+            has = "with" if witness else "without"
+            raise ValueError(f"{verdict} {tag} {has} a witness is not an outcome of the search")
         if not (nodes.isascii() and nodes.isdigit()):
             raise ValueError(f"nodes {nodes!r} are not decimal digits")
         millis = float(ms)
@@ -208,9 +224,10 @@ def run_catalog(
 
     Writes one record line per datum to out_path (when given); with
     ``resume`` the file is read first, already-recorded data are
-    skipped, and the file is rewritten with old and new records.  The
-    sorted record order keeps two runs with identical parameters, resumed
-    or not, byte-identical except for the wall-time column.  An out_path
+    skipped, and the file is rewritten with old and new records;
+    ``resume`` without out_path raises ValueError.  The sorted record
+    order keeps two runs with identical parameters, resumed or not,
+    byte-identical except for the wall-time column.  An out_path
     that cannot be opened for writing raises OSError before any datum is
     classified.
     """
@@ -218,8 +235,10 @@ def run_catalog(
         raise ValueError(f"budget must be at least 0, got {budget}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if resume and out_path is None:
+        raise ValueError("resume needs an output file to read and rewrite")
     done: dict[BranchDatum, CatalogRecord] = {}
-    if resume and out_path is not None:
+    if resume:
         try:
             done = _load_existing(out_path)
         except FileNotFoundError:

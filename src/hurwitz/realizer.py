@@ -47,10 +47,11 @@ keeps tau_1 and every condition of the walk, so the first row with a
 witness below it is its orbit's first: the walk finds the same first
 witness, and a walk without one still certifies exhaustion, at far
 fewer nodes (the (3,3,3,3)-anchored d = 12 data: 251,328-318,087 nodes
-down to 7,072-8,412).  How many rows are kept is not known before the
-walk, so no budget check is made up front.
+down to 7,072-8,412).
 
-Budgets count visited candidates.  Only a completed walk certifies
+Budgets count visited candidates, each charged as it is visited, so a
+search that reports N nodes returns the same result with budget N and
+BUDGET_EXCEEDED with N - 1.  Only a completed walk certifies
 exceptionality; a randomized witness hunt runs first whenever the
 remaining classes are too large to walk cheaply, so oversized realizable
 data still produce witnesses.  The hunt's relabellings come from one
@@ -87,7 +88,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 from typing import Iterator
 
@@ -519,20 +520,18 @@ def _scan_python(source, pi, target, parent, budget, gens_for_transitivity, d):
 def _row_chunks(source) -> Iterator[np.ndarray]:
     """The rows of a plan entry, at most _CHUNK at a time.  A table is
     sliced in chunks that start small and double, so a scan that stops
-    early touches few rows; a cycle type's class is streamed by
-    _class_chunks, and the stabilizer-least rows of a (cycle type,
-    anchor) pair by _stabilizer_least."""
-    if isinstance(source, np.ndarray):
-        start, size = 0, 16
-        while start < len(source):
-            size = min(size, _CHUNK)
-            yield source[start : start + size]
-            start += size
-            size *= 2
-    elif isinstance(source[0], tuple):
-        yield from _stabilizer_least(*source)
-    else:
-        yield from _class_chunks(source)
+    early touches few rows; any other entry is a chunk stream (a class
+    by _class_chunks, or stabilizer-least rows by _stabilizer_least),
+    called afresh on each visit."""
+    if not isinstance(source, np.ndarray):
+        yield from source()
+        return
+    start, size = 0, 16
+    while start < len(source):
+        size = min(size, _CHUNK)
+        yield source[start : start + size]
+        start += size
+        size *= 2
 
 
 def _perms(source) -> Iterator[Perm]:
@@ -566,11 +565,7 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
     Returns FOUND with a verified witness, EXHAUSTED when the whole
     anchored space has been covered (certifying exceptionality), or
     BUDGET_EXCEEDED.  The budget is counted in visited candidates.
-    When level 0 is a table of the second class's orbit representatives
-    (the class has at most _REDUCTION_LIMIT elements), the result is
-    eagerly BUDGET_EXCEEDED when those representatives alone exceed it;
-    stabilizer-least rows are streamed, and their count is not known up
-    front.  Deterministic: same datum, same outcome.
+    Deterministic: same datum, same outcome.
     """
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
@@ -579,19 +574,19 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
     if not check_compatibility(datum).compatible:
         raise ValueError("datum is not compatible")
     d = datum.degree
-    if datum.n == 2:
-        # Riemann-Hurwitz over the sphere: n <= 2 is compatible only as [d|d]
-        rep = class_representative((d,))
-        return SearchResult(FOUND, _checked(datum, (rep, inverse(rep))), 1)
     types = sorted((p.parts for p in datum.partitions), key=lambda t: (class_size(t), t))
-
-    if d > 256:
-        raise ValueError("search handles degrees up to 256 (one byte per image)")
     anchor, middle, target = types[0], types[1:-1], types[-1]
+    if d > 256 and datum.n > 2:
+        raise ValueError("search handles degrees up to 256 (one byte per image)")
     tau1 = class_representative(anchor)
     bud = _Budget(budget)
 
     try:
+        if datum.n == 2:
+            # Riemann-Hurwitz over the sphere: n <= 2 is compatible only
+            # as [d|d], whose one candidate is tau1 and its inverse
+            bud.spend(1)
+            return SearchResult(FOUND, _checked(datum, (tau1, inverse(tau1))), bud.nodes)
         estimate = prod(class_size(t) for t in middle)
         if estimate > _RANDOM_TRIGGER:
             attempts = min(_HUNT_MAX, max(2_000, estimate // 50))
@@ -599,21 +594,23 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
             if taus is not None:
                 return SearchResult(FOUND, _checked(datum, taus), bud.nodes)
 
-        # candidate plan per enumerated level
-        plan: list[np.ndarray | tuple] = []
+        # candidate plan per enumerated level: a table, or a chunk stream
+        # called on each visit
+        plan: list[np.ndarray | partial] = []
         for j, t in enumerate(middle):
             size = class_size(t)
             if j == 0:
-                # the orbit representatives, or the stabilizer-least rows
-                # streamed on each visit, a class-order superset of them
-                # with the same first witness (see the module docstring)
-                plan.append(_anchored_reps(anchor, t) if size <= _REDUCTION_LIMIT else (t, anchor))
+                # the orbit representatives, or the stabilizer-least rows,
+                # a class-order superset of them with the same first
+                # witness (see the module docstring)
+                if size <= _REDUCTION_LIMIT:
+                    plan.append(_anchored_reps(anchor, t))
+                else:
+                    plan.append(partial(_stabilizer_least, t, anchor))
             elif size * d <= _CACHE_BYTES:
                 plan.append(_class_table(t))
             else:
-                plan.append(t)  # streamed by _class_chunks on each visit
-        if isinstance(plan[0], np.ndarray) and len(plan[0]) > budget - bud.nodes:
-            return SearchResult(BUDGET_EXCEEDED, None, bud.nodes)
+                plan.append(partial(_class_chunks, t))
 
         # merge capacity of the classes still to be placed (the forced
         # last permutation lies in the generated group, so it adds none)

@@ -130,7 +130,7 @@ class TestRunCatalog:
 
         def stable(path):
             rows = []
-            for line in open(path):
+            for line in path.read_text().splitlines(keepends=True):
                 if line.startswith("#"):
                     rows.append(line)
                 else:
@@ -154,7 +154,9 @@ class TestRunCatalog:
         full = tmp_path / "full.tsv"
         part = tmp_path / "part.tsv"
         run_catalog(3, 5, out_path=str(full))
-        full_lines = [l for l in open(full) if not l.startswith("#")]
+        full_lines = [
+            l for l in full.read_text().splitlines(keepends=True) if not l.startswith("#")
+        ]
         with open(part, "w") as fh:
             fh.write("# hurwitz-catalog partial\n")
             fh.writelines(full_lines[: len(full_lines) // 2])
@@ -174,11 +176,11 @@ class TestRunCatalog:
         def without_ms(path):
             return [
                 line if line.startswith("#") else line.rsplit("\t", 1)[0]
-                for line in open(path)
+                for line in path.read_text().splitlines(keepends=True)
             ]
 
         assert without_ms(part) == without_ms(full)
-        assert sum(line.startswith("# total=") for line in open(part)) == 1
+        assert sum(line.startswith("# total=") for line in without_ms(part)) == 1
 
     def test_corrupt_resume_reports_line(self, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -250,6 +252,45 @@ class TestRunCatalog:
         self.check_rejected(
             tmp_path, changes, f"corrupt catalog line {lineno}: {match}", lineno, d_max=4
         )
+
+    # each line is refused for what classify(datum, 0) says of its datum:
+    # line 9 of a d <= 4 catalog is the exceptional d=4 [3,1|2,2|2,2],
+    # decided by the rules
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            pytest.param(
+                {1: "REALIZABLE", 2: "no-such-tag"},
+                "the datum is EXCEPTIONAL Thm-EKS-d4+5, no witness",
+                id="wrong-tag",
+            ),
+            pytest.param(
+                {1: "INCOMPATIBLE", 2: "Thm-EKS-d4"},
+                "the datum is EXCEPTIONAL Thm-EKS-d4+5, no witness",
+                id="wrong-verdict",
+            ),
+            pytest.param(
+                {0: "d=5 cover=O0 base=O0 parts=[4,1|2,2,1]",
+                 1: "EXCEPTIONAL", 2: "search-exhausted"},
+                "the datum is INCOMPATIBLE violated:1,2, no witness",
+                id="incompatible",
+            ),
+            pytest.param(
+                # exceptional, decided by the search alone
+                {0: "d=9 cover=O0 base=O0 parts=[5,2,2|3,3,3|2,2,2,2,1]",
+                 1: "REALIZABLE", 2: "search-found"},
+                "REALIZABLE search-found without a witness is not an outcome of the search",
+                id="found-without-witness",
+            ),
+        ],
+    )
+    def test_verdict_the_datum_contradicts_reports_line(self, tmp_path, changes, match):
+        self.check_rejected(tmp_path, changes, f"corrupt catalog line 9: {match}", 9, d_max=4)
+
+    def test_resume_needs_out(self, monkeypatch):
+        monkeypatch.setattr(catalog, "classify", None)  # nothing is classified
+        with pytest.raises(ValueError, match="resume needs an output file"):
+            run_catalog(3, 3, resume=True)
 
     def test_witnesses_read_back(self, tmp_path):
         path = tmp_path / "cat.tsv"

@@ -173,3 +173,14 @@ def test_catalog_unwritable_out_exit_two(capsys, tmp_path, where):
     assert code == 2
     assert out == ""
     assert err.startswith("unsuitable input: [Errno ") and err.count("\n") == 1
+
+
+def test_catalog_resume_without_out_exit_two(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("classified a datum")
+
+    monkeypatch.setattr("hurwitz.catalog.classify", refuse)
+    code, out, err = run(capsys, "catalog", "--d-max", "3", "--n-max", "3", "--resume")
+    assert code == 2
+    assert out == ""
+    assert err == "unsuitable input: resume needs an output file to read and rewrite\n"

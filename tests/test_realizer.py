@@ -23,6 +23,7 @@ from hurwitz.core import (
     parse_datum,
     partitions_of,
 )
+from hurwitz.criteria import REALIZABLE, UNKNOWN, classify
 from hurwitz.perms import (
     centralizer_generators,
     class_iterator,
@@ -216,6 +217,40 @@ class TestBudget:
         if full.status == EXHAUSTED:
             assert tiny.status == BUDGET_EXCEEDED
 
+    def test_own_nodes_reproduce_the_result(self):
+        # every candidate is charged as it is visited and nothing is
+        # refused up front, so a search that reports N nodes returns the
+        # same result with budget N and runs out with N - 1
+        data = [x for d in range(2, 8) for x in enumerate_compatible(d, range(2, 6))]
+        assert len(data) == 7_066
+        for datum in data:
+            full = search(datum)
+            assert search(datum, full.nodes) == full, format_datum(datum)
+            if full.nodes >= 1:
+                short = search(datum, full.nodes - 1)
+                assert short.status == BUDGET_EXCEEDED, format_datum(datum)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "d=3 cover=O1 base=O0 parts=[3|3|3]",  # level 0 a table of one row
+            "d=4 cover=O0 base=O0 parts=[4|4]",  # two points, one candidate
+        ],
+    )
+    def test_one_candidate_costs_one_node(self, line):
+        datum = parse_datum(line)
+        assert search(datum, 0) == realizer.SearchResult(BUDGET_EXCEEDED, None, 0)
+        found = search(datum, 1)
+        assert (found.status, found.nodes) == (FOUND, 1)
+        assert verify_witness(datum, found.realization)
+
+    def test_reduction_found_at_its_own_nodes(self):
+        datum = parse_datum("d=10 cover=O1 base=N1 parts=[4,4,1,1|3,2,2,1,1,1]")
+        full = classify(datum)
+        assert (full.kind, full.provenance, full.nodes) == (REALIZABLE, "reduction:search-found", 2)
+        assert classify(datum, 2) == full
+        assert classify(datum, 1).kind == UNKNOWN
+
 
 class TestTranspositionPrune:
     def test_pruned_walk_pinned(self, monkeypatch):
@@ -311,7 +346,7 @@ class TestWitnessCheck:
             "from hurwitz.core import parse_datum\n"
             "streamed = []\n"
             "chunks = realizer._row_chunks\n"
-            "realizer._row_chunks = lambda s: streamed.append(type(s) is tuple) or chunks(s)\n"
+            "realizer._row_chunks = lambda s: streamed.append(callable(s)) or chunks(s)\n"
             "realizer._CACHE_BYTES = int(sys.argv[2])\n"
             "datum = parse_datum(sys.argv[1])\n"
             "assert realizer.search(datum).status == realizer.FOUND\n"
@@ -500,12 +535,13 @@ class TestScans:
     def outcomes(self, line, limit):
         t = _last_level(line)[2]
         table = np.asarray(realizer._build_class_list(t))
-        # a cached table, and the cycle type whose class is streamed
+        # a cached table, and the stream of the class's chunks
+        stream = functools.partial(realizer._class_chunks, t)
         return [
             _scan_outcome(realizer._scan_numpy, table, line, limit),
-            _scan_outcome(realizer._scan_numpy, t, line, limit),
+            _scan_outcome(realizer._scan_numpy, stream, line, limit),
             _scan_outcome(realizer._scan_python, table, line, limit),
-            _scan_outcome(realizer._scan_python, t, line, limit),
+            _scan_outcome(realizer._scan_python, stream, line, limit),
         ]
 
     @pytest.fixture(autouse=True, params=[7, realizer._CHUNK])
@@ -532,11 +568,11 @@ class TestScans:
 
 def _watch_streaming(monkeypatch):
     """A list that gets, for each plan entry the search reads rows of,
-    whether it is a cycle type, whose class is streamed."""
+    whether it is a chunk stream rather than a table."""
     streamed = []
     chunks = realizer._row_chunks
     monkeypatch.setattr(
-        realizer, "_row_chunks", lambda s: streamed.append(type(s) is tuple) or chunks(s)
+        realizer, "_row_chunks", lambda s: streamed.append(callable(s)) or chunks(s)
     )
     return streamed
 
@@ -606,8 +642,9 @@ class TestStreamedClasses:
         assert any(streamed)
 
     def test_budget_one_short_is_never_exhausted(self):
-        # level 0 streams a number of rows not known up front, so the
-        # budget is checked row by row and never runs out unnoticed
+        # level 0 streams stabilizer-least rows, a number not known up
+        # front; like a table's rows, they are charged one by one as the
+        # walk visits them, so the budget never runs out unnoticed
         datum = parse_datum("d=12 cover=O1 base=O0 parts=[7,5|3,3,3,3|2,2,2,2,2,2]")
         full = search(datum)
         assert full == realizer.SearchResult(EXHAUSTED, None, 5_013)
