@@ -109,13 +109,18 @@ def induced_cycle_type(grouping: tuple[tuple[tuple[int, ...], int], ...]) -> tup
 def _closure(d: int, seeds: Sequence[int], gens: Sequence[Perm]) -> tuple[int, ...]:
     """Finest generator-invariant partition putting point 0 in one block
     with every seed, as an assignment with ids numbered by first
-    occurrence (so the block of 0 is block 0).
+    occurrence (so the block of 0 is block 0).  The generators must act
+    transitively.
 
     Whenever two classes merge, the images of the merging pair under
     every generator are merged as well, and the propagation repeats
-    until stable.
+    until stable.  It stops early with the one-block assignment once a
+    class holds more than d/2 points: the blocks of a transitive group
+    are equal and their size divides d, so such a class only grows into
+    the whole set.
     """
     parent = list(range(d))
+    size = [1] * d
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -125,18 +130,25 @@ def _closure(d: int, seeds: Sequence[int], gens: Sequence[Perm]) -> tuple[int, .
 
     pending = []
 
-    def union(a: int, b: int) -> None:
+    def union(a: int, b: int) -> bool:
+        """Merge the classes of a and b; whether the merged class holds
+        more than half the points."""
         ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-            pending.append((a, b))
+        if ra == rb:
+            return False
+        parent[rb] = ra
+        size[ra] += size[rb]
+        pending.append((a, b))
+        return 2 * size[ra] > d
 
     for x in seeds:
-        union(0, x)
+        if union(0, x):
+            return (0,) * d
     while pending:
         a, b = pending.pop()
         for g in gens:
-            union(g[a], g[b])
+            if union(g[a], g[b]):
+                return (0,) * d
     ids: dict[int, int] = {}
     return tuple(ids.setdefault(find(x), len(ids)) for x in range(d))
 
@@ -154,7 +166,9 @@ def _lattice(gens: tuple[Perm, ...]) -> tuple[tuple[int, ...], ...]:
     minimal systems are the closures of single points x, and the join of
     two systems is the closure of the union of their blocks of 0.  The
     collection is closed under joins until stable; transitivity also
-    makes all classes of an invariant partition equal-sized blocks.
+    makes all classes of an invariant partition equal-sized blocks, so a
+    closure stops as soon as a class outgrows d/2 and returns the one
+    block, which is dropped here as trivial.
     """
     d = len(gens[0]) if gens else 0
     if not gens or any(sorted(g) != list(range(d)) for g in gens):

@@ -143,8 +143,9 @@ def _parse_record(raw: str, lineno: int) -> CatalogRecord:
     every column is checked.  A witness, which only a REALIZABLE record
     may carry, must parse at the datum's degree and pass verify_witness.
     Where classify(datum, 0) is decided, the verdict and tag must be its
-    kind and provenance, with no witness; elsewhere they must be an
-    outcome of the search (_SEARCH_OUTCOMES)."""
+    kind and provenance, with no witness and 0 nodes; elsewhere they
+    must be an outcome of the search (_SEARCH_OUTCOMES), and a definite
+    one took at least 1 node."""
     cols = raw.split("\t")
     try:
         if len(cols) != len(CATALOG_COLUMNS):
@@ -161,21 +162,24 @@ def _parse_record(raw: str, lineno: int) -> CatalogRecord:
             taus = tuple(parse_cycles(s, datum.degree) for s in witness.split(";"))
             if not verify_witness(datum, Realization(datum.degree, taus)):
                 raise ValueError("the witness does not realize the datum")
+        if not (nodes.isascii() and nodes.isdigit()):
+            raise ValueError(f"nodes {nodes!r} are not decimal digits")
+        count = int(nodes)
         ruled = classify(datum, 0)
         if ruled.kind != UNKNOWN:
-            if (kind, tag, witness) != (ruled.kind, ruled.provenance, ""):
+            if (kind, tag, witness, count) != (ruled.kind, ruled.provenance, "", 0):
                 raise ValueError(
-                    f"the datum is {ruled.kind.upper()} {ruled.provenance}, no witness"
+                    f"the datum is {ruled.kind.upper()} {ruled.provenance}, no witness, 0 nodes"
                 )
         elif (kind, tag, bool(witness)) not in _SEARCH_OUTCOMES:
             has = "with" if witness else "without"
             raise ValueError(f"{verdict} {tag} {has} a witness is not an outcome of the search")
-        if not (nodes.isascii() and nodes.isdigit()):
-            raise ValueError(f"nodes {nodes!r} are not decimal digits")
+        elif kind != UNKNOWN and count == 0:
+            raise ValueError(f"{verdict} {tag} is decided by at least 1 search node, not 0")
         millis = float(ms)
         if not 0 <= millis < math.inf:  # nan compares false
             raise ValueError(f"ms {ms!r} is not a finite non-negative number")
-        return CatalogRecord(datum, kind, tag, witness, int(nodes), millis)
+        return CatalogRecord(datum, kind, tag, witness, count, millis)
     except ValueError as exc:
         raise ValueError(f"corrupt catalog line {lineno}: {exc}") from exc
 

@@ -51,7 +51,8 @@ down to 7,072-8,412).
 
 Budgets count visited candidates, each charged as it is visited, so a
 search that reports N nodes returns the same result with budget N and
-BUDGET_EXCEEDED with N - 1.  Only a completed walk certifies
+BUDGET_EXCEEDED with N - 1; a zero budget returns BUDGET_EXCEEDED before
+anything is built.  Only a completed walk certifies
 exceptionality; a randomized witness hunt runs first whenever the
 remaining classes are too large to walk cheaply, so oversized realizable
 data still produce witnesses.  The hunt's relabellings come from one
@@ -578,6 +579,9 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
     anchor, middle, target = types[0], types[1:-1], types[-1]
     if d > 256 and datum.n > 2:
         raise ValueError("search handles degrees up to 256 (one byte per image)")
+    if budget == 0:
+        # every candidate costs a node, so none can be visited
+        return SearchResult(BUDGET_EXCEEDED, None, 0)
     tau1 = class_representative(anchor)
     bud = _Budget(budget)
 

@@ -189,6 +189,89 @@ def brute_block_systems(gens, k: int) -> list[tuple[tuple[int, ...], ...]]:
     return found
 
 
+def closure_reference(d: int, seeds, gens) -> tuple[int, ...]:
+    """What blocks._closure returns, by merging until stable with no
+    early exit: union-find over the points, each merged pair's images
+    under every generator merged in turn, ids numbered by first
+    occurrence."""
+    parent = list(range(d))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    pending = []
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+            pending.append((a, b))
+
+    for x in seeds:
+        union(0, x)
+    while pending:
+        a, b = pending.pop()
+        for g in gens:
+            union(g[a], g[b])
+    ids: dict[int, int] = {}
+    return tuple(ids.setdefault(find(x), len(ids)) for x in range(d))
+
+
+def witness_element(rng: random.Random, d: int, k: int | None) -> tuple[int, ...]:
+    """A random permutation of 0..d-1; with k, one of S_k wr S_{d/k},
+    keeping the blocks {0..k-1}, {k..2k-1}, ..."""
+    if k is None:
+        images = list(range(d))
+        rng.shuffle(images)
+        return tuple(images)
+    sigma = list(range(d // k))
+    rng.shuffle(sigma)
+    images = [0] * d
+    for b in range(d // k):
+        inner = list(range(k))
+        rng.shuffle(inner)
+        for a in range(k):
+            images[b * k + a] = sigma[b] * k + inner[a]
+    return tuple(images)
+
+
+def witness_tuples(seed: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The tuples of the benchmark's witness workload for a seed, drawn
+    as bench/workloads.py witness_inputs draws them: 100 per degree
+    6..12 and point count 3..5, each n permutations with identity
+    product, no identity entry and transitive action, every odd slot of
+    a composite degree inside a wreath product, then relabelled."""
+    rng = random.Random(seed)
+    out = []
+    for d in range(6, 13):
+        ks = [k for k in range(2, d) if d % k == 0]
+        ident = tuple(range(d))
+        for n in range(3, 6):
+            for slot in range(100):
+                k = ks[(slot // 2) % len(ks)] if ks and slot % 2 else None
+                while True:
+                    gens = [witness_element(rng, d, k) for _ in range(n - 1)]
+                    prod = ident
+                    for g in gens:
+                        prod = tuple(prod[x] for x in g)
+                    last = [0] * d
+                    for i, v in enumerate(prod):
+                        last[v] = i
+                    taus = (*gens, tuple(last))
+                    if ident not in taus and perms.is_transitive(taus, d):
+                        break
+                relabel = list(range(d))
+                rng.shuffle(relabel)
+                back = [0] * d
+                for i, v in enumerate(relabel):
+                    back[v] = i
+                out.append(tuple(tuple(relabel[t[back[x]]] for x in range(d)) for t in taus))
+    return out
+
+
 def block_groupings_reference(t: tuple[int, ...], k: int) -> list:
     """What blocks.cycle_type_block_groupings yields, as a set, by
     choosing the anchor's companions as index combinations and dropping

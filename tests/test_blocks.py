@@ -1,6 +1,9 @@
+import hashlib
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hurwitz import blocks
 from hurwitz.blocks import (
@@ -25,9 +28,16 @@ from hurwitz.core import (
     partitions_of,
     refines_two_halves,
 )
-from hurwitz.perms import cycle_type, parse_cycles
+from hurwitz.perms import cycle_type, is_transitive, parse_cycles
 from hurwitz.realizer import FOUND, search
-from conftest import block_groupings_reference, brute_block_systems, half_splits_reference
+from conftest import (
+    block_groupings_reference,
+    brute_block_systems,
+    closure_reference,
+    half_splits_reference,
+    witness_element,
+    witness_tuples,
+)
 
 
 class TestGroupings:
@@ -211,6 +221,45 @@ class TestBlockLattice:
             assert all(len(b) == k for b in bd.blocks())
             for g in self.gens:
                 induced_permutation(bd, g)
+
+
+@st.composite
+def transitive_tuples(draw):
+    """Transitive tuples of degree 4..12, half of them (for composite
+    degrees) inside a relabelled S_k wr S_{d/k}, so they keep blocks."""
+    d = draw(st.integers(4, 12))
+    ks = [k for k in range(2, d) if d % k == 0]
+    k = draw(st.sampled_from(ks)) if ks and draw(st.booleans()) else None
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    gens = [witness_element(rng, d, k) for _ in range(draw(st.integers(1, 3)))]
+    relabel = list(range(d))
+    rng.shuffle(relabel)
+    gens = [tuple(relabel[g[relabel.index(x)]] for x in range(d)) for g in gens]
+    assume(is_transitive(gens, d))
+    return gens
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(transitive_tuples())
+def test_closure_equals_closure_run_to_the_end(gens):
+    """Stopping once a class outgrows d/2 changes no closure the lattice
+    asks for: every seed set {0, x} and every join of two systems."""
+    d = len(gens[0])
+    systems = all_block_systems(gens)
+    seed_sets = [[x] for x in range(1, d)] + [
+        [x for x in range(1, d) if a[x] == 0 or b[x] == 0] for a in systems for b in systems
+    ]
+    for seeds in seed_sets:
+        assert blocks._closure(d, seeds, gens) == closure_reference(d, seeds, gens), seeds
+
+
+def test_witness_lattices_are_pinned():
+    # every block system of the witness tuples of seeds 1-4, as the
+    # closures run to the end found them
+    lattices = [all_block_systems(list(taus)) for seed in (1, 2, 3, 4) for taus in witness_tuples(seed)]
+    assert len(lattices) == 8_400
+    assert sum(map(len, lattices)) == 3_212
+    assert hashlib.md5(repr(lattices).encode()).hexdigest() == "521e67254e509229fad79e3069cbbc18"
 
 
 class TestBlockDecomposition:

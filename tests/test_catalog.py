@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import hurwitz
-from hurwitz import catalog
+from hurwitz import catalog, realizer
 from hurwitz.catalog import (
     enumerate_compatible,
     read_catalog,
@@ -282,6 +282,18 @@ class TestRunCatalog:
                 "REALIZABLE search-found without a witness is not an outcome of the search",
                 id="found-without-witness",
             ),
+            pytest.param(
+                {4: "12345"},
+                "the datum is EXCEPTIONAL Thm-EKS-d4+5, no witness, 0 nodes",
+                id="ruled-with-nodes",
+            ),
+            pytest.param(
+                # a definite outcome of the search visited a candidate
+                {0: "d=9 cover=O0 base=O0 parts=[5,2,2|3,3,3|2,2,2,2,1]",
+                 1: "EXCEPTIONAL", 2: "search-exhausted", 4: "0"},
+                "EXCEPTIONAL search-exhausted is decided by at least 1 search node, not 0",
+                id="exhausted-without-nodes",
+            ),
         ],
     )
     def test_verdict_the_datum_contradicts_reports_line(self, tmp_path, changes, match):
@@ -298,6 +310,18 @@ class TestRunCatalog:
         assert sum(bool(r.witness) for r in records) == 6
         fields = lambda rs: [(r.datum, r.verdict, r.tag, r.witness, r.nodes) for r in rs]
         assert fields(read_catalog(str(path))) == fields(records)
+
+    def test_read_back_builds_no_search_table(self, tmp_path):
+        # each record is checked against classify(datum, 0), whose search
+        # returns at budget 0 before it builds a class or orbit table
+        path = tmp_path / "cat.tsv"
+        records = run_catalog(6, 3, out_path=str(path))
+        assert any(r.tag.startswith("search-") for r in records)
+        realizer._anchored_reps.cache_clear()
+        realizer._class_table.cache_clear()
+        assert len(read_catalog(str(path))) == len(records)
+        assert realizer._anchored_reps.cache_info().currsize == 0
+        assert realizer._class_table.cache_info().currsize == 0
 
     def test_fresh_run_parses_no_datum(self, tmp_path, monkeypatch):
         def refuse(line):
