@@ -185,12 +185,20 @@ def _parse_record(raw: str, lineno: int) -> CatalogRecord:
 
 
 def _load_existing(path: str) -> dict[BranchDatum, CatalogRecord]:
+    """The records of a catalog file by datum; a datum on two lines is
+    refused, since no run writes one twice."""
     done: dict[BranchDatum, CatalogRecord] = {}
+    first_line: dict[BranchDatum, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.rstrip("\n")
             if raw and not raw.startswith("#"):
                 record = _parse_record(raw, lineno)
+                seen = first_line.setdefault(record.datum, lineno)
+                if seen != lineno:
+                    raise ValueError(
+                        f"corrupt catalog line {lineno}: the datum is already on line {seen}"
+                    )
                 done[record.datum] = record
     return done
 

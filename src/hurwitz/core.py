@@ -14,16 +14,11 @@ BranchDatum its branching count n and preimage total n~, both computed
 once at construction and left out of equality, hashing and repr.  The
 text of a partition comes from a memo keyed by its parts and bounded at
 4096 entries, so no instance stores its text.  surface_from_euler and
-surface_from_token return one shared Surface per (orientability, genus)
-from a memo of the same bound, SPHERE, TORUS, PROJECTIVE and KLEIN
-themselves where those apply, and a BranchDatum holds the shared
-instances of its cover and base whatever surfaces it was given, also
-after a pickle round trip.  Surface
-equality tests identity first, so the battery's comparisons with SPHERE
-are identity tests; a Surface built directly is its own instance and
-compares and hashes by value.  Integer inputs (parts, genus, degree) go
-through operator.index: numpy integers are accepted, anything else is
-refused with ValueError.
+surface_from_token hand out shared surfaces from a memo of the same
+bound, SPHERE, TORUS, PROJECTIVE and KLEIN themselves where those apply.
+Surfaces compare and hash by value, with identity as the fast path.
+Integer inputs (parts, genus, degree) go through operator.index: numpy
+integers are accepted, anything else is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -76,12 +71,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
 
     def __str__(self) -> str:
         return _partition_text(self.parts)
@@ -201,17 +190,10 @@ class BranchDatum:
                     "trivial partition (1,...,1) marks an unbranched point; drop it"
                 )
         norm = tuple(sorted(norm, key=lambda p: p.parts, reverse=True))
-        cover, base = self.cover, self.base
-        object.__setattr__(self, "cover", _shared_surface(cover.orientable, cover.genus))
-        object.__setattr__(self, "base", _shared_surface(base.orientable, base.genus))
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "partitions", norm)
         object.__setattr__(self, "n", len(norm))
         object.__setattr__(self, "n_tilde", sum(len(p.parts) for p in norm))
-
-    def __reduce__(self):
-        # rebuilt through the constructor, so the copy holds the shared surfaces
-        return BranchDatum, (self.cover, self.base, self.degree, self.partitions)
 
     def __str__(self) -> str:
         return format_datum(self)
@@ -300,25 +282,24 @@ def refines_two_halves(p: Partition) -> bool:
 
 
 def partitions_of(d: int) -> Iterator[Partition]:
-    """All partitions of d, exactly once, in reverse-lexicographic order."""
+    """All partitions of d, exactly once, in reverse-lexicographic order:
+    the largest first part first, each followed by the partitions of the
+    rest into parts no larger.  The recursion goes as deep as the
+    partition yielded has parts above 1, and one of k parts comes after
+    at least p(k) - 1 others (10^8 for k = 100), so no feasible caller
+    nears the recursion limit."""
     if d < 1:
         raise ValueError("d must be positive")
-    parts = [d]
-    while True:
-        yield Partition(tuple(parts))
-        i = len(parts) - 1
-        while i >= 0 and parts[i] == 1:
-            i -= 1
-        if i < 0:
-            return
-        parts[i] -= 1
-        rest = len(parts) - i  # freed units plus the one just removed
-        parts = parts[: i + 1]
-        cap = parts[i]
-        while rest > 0:
-            c = min(cap, rest)
-            parts.append(c)
-            rest -= c
+    yield from map(Partition, _parts_at_most(d, d))
+
+
+def _parts_at_most(d: int, cap: int) -> Iterator[tuple[int, ...]]:
+    if cap == 1 or d <= 1:
+        yield (1,) * d
+        return
+    for first in range(min(d, cap), 0, -1):
+        for rest in _parts_at_most(d - first, first):
+            yield (first,) + rest
 
 
 _LINE_RE = re.compile(

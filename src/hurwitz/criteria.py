@@ -26,7 +26,6 @@ from typing import Callable, Sequence
 
 from .core import (
     SPHERE,
-    TORUS,
     PROJECTIVE,
     BranchDatum,
     check_compatibility,
@@ -82,14 +81,13 @@ def _gcds(datum: BranchDatum) -> list[int]:
 def _match_ordered(
     datum: BranchDatum,
     seconds: Sequence[tuple[int, ...]],
-    exceptional: Callable[[tuple[int, ...]], bool | None],
+    exceptional: Callable[[tuple[int, ...]], bool],
     tag: str,
 ) -> Verdict | None:
     """On three points over the sphere with d even, judge the third
-    partition of every ordered pair ((2,...,2), one of seconds):
-    ``exceptional(third)`` is True, False, or None for a third the rule
-    does not cover.  Fires the common verdict; matches that disagree
-    raise ConsistencyError."""
+    partition of every ordered pair ((2,...,2), one of seconds) by
+    ``exceptional(third)``.  Fires the common verdict; matches that
+    disagree raise ConsistencyError."""
     d = datum.degree
     if datum.base != SPHERE or datum.n != 3 or d % 2:
         return None
@@ -98,9 +96,7 @@ def _match_ordered(
     kinds = set()
     for i, j in permutations(range(3), 2):
         if parts[i] == first and parts[j] in seconds:
-            bad = exceptional(parts[3 - i - j])
-            if bad is not None:
-                kinds.add(EXCEPTIONAL if bad else REALIZABLE)
+            kinds.add(EXCEPTIONAL if exceptional(parts[3 - i - j]) else REALIZABLE)
     if len(kinds) > 1:
         raise ConsistencyError(f"ambiguous shape match on {datum}")
     return _fire(kinds.pop(), tag) if kinds else None
@@ -153,14 +149,13 @@ def thm_eks_large(datum: BranchDatum) -> Verdict | None:
 
 def prop_eks_222(datum: BranchDatum) -> Verdict | None:
     """Shape (x,d-x),(2,...,2),(2,...,2) over the sphere: realizable iff
-    x = d/2."""
+    x = d/2.  Beside two (2,...,2) the Euler count gives chi(cover) =
+    len(third), so a compatible sphere cover has a third of 2 parts."""
     if datum.cover != SPHERE:
         return None
     half = datum.degree // 2
     return _match_ordered(
-        datum, ((2,) * half,),
-        lambda third: third[0] != half if len(third) == 2 else None,
-        "Prop-EKS-222",
+        datum, ((2,) * half,), lambda third: third[0] != half, "Prop-EKS-222"
     )
 
 
@@ -204,18 +199,18 @@ def prop_53(datum: BranchDatum) -> Verdict | None:
 
     Torus cover: exceptional exactly for third = (d/2, d/2).  Sphere
     cover: exceptional exactly for third of the form (k,k,d/2-k,d/2-k),
-    or (d/2,d/6,d/6,d/6) when 6 | d.
+    or (d/2,d/6,d/6,d/6) when 6 | d.  The two shaped partitions have
+    d - 2 parts, so the Euler count gives chi(cover) = len(third) - 2:
+    a compatible third has 2 parts (torus cover) or 4 (sphere cover).
     """
     d = datum.degree
 
-    def exceptional(third: tuple[int, ...]) -> bool | None:
-        if datum.cover == TORUS and len(third) == 2:
+    def exceptional(third: tuple[int, ...]) -> bool:
+        if len(third) == 2:
             return third == (d // 2, d // 2)
-        if datum.cover == SPHERE and len(third) == 4:
-            return _kk_form(third, d) or (
-                d % 6 == 0 and third == (d // 2, d // 6, d // 6, d // 6)
-            )
-        return None
+        return _kk_form(third, d) or (
+            d % 6 == 0 and third == (d // 2, d // 6, d // 6, d // 6)
+        )
 
     shape = (5, 3) + (2,) * ((d - 8) // 2)
     return _match_ordered(datum, (shape,), exceptional, "Prop-53-shape")

@@ -299,6 +299,39 @@ class TestRunCatalog:
     def test_verdict_the_datum_contradicts_reports_line(self, tmp_path, changes, match):
         self.check_rejected(tmp_path, changes, f"corrupt catalog line 9: {match}", 9, d_max=4)
 
+    # a run writes each datum once, so a second line for a datum is refused,
+    # whether it repeats the first or contradicts it: line 17 of a d <= 5
+    # catalog is REALIZABLE search-found, and read back as budget-exceeded
+    # it would never be searched again on --resume
+    @pytest.mark.parametrize(
+        "lineno, changes",
+        [
+            pytest.param(3, {}, id="repeated"),
+            pytest.param(
+                17, {1: "UNKNOWN", 2: "budget-exceeded", 3: "-", 4: "3"}, id="conflicting"
+            ),
+        ],
+    )
+    def test_datum_on_two_lines_reports_line(self, tmp_path, capsys, lineno, changes):
+        from hurwitz.cli import main
+
+        path = tmp_path / "cat.tsv"
+        run_catalog(5, 3, out_path=str(path))
+        lines = path.read_text().splitlines()
+        cols = lines[lineno - 1].split("\t")
+        for column, value in changes.items():
+            cols[column] = value
+        lines.append("\t".join(cols))
+        path.write_text("\n".join(lines) + "\n")
+        match = f"corrupt catalog line {len(lines)}: the datum is already on line {lineno}"
+        with pytest.raises(ValueError, match=re.escape(match)):
+            read_catalog(str(path))
+        with pytest.raises(ValueError, match=re.escape(match)):
+            run_catalog(5, 3, out_path=str(path), resume=True)
+        argv = ["catalog", "--d-max", "5", "--n-max", "3", "--out", str(path), "--resume"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"unsuitable input: {match}\n"
+
     def test_resume_needs_out(self, monkeypatch):
         monkeypatch.setattr(catalog, "classify", None)  # nothing is classified
         with pytest.raises(ValueError, match="resume needs an output file"):

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 
 import numpy as np
@@ -108,7 +109,8 @@ class TestSurface:
         assert parse_datum("d=2 cover=N2 base=N1 parts=[2]").cover is KLEIN
         assert infer_cover(SPHERE, 3, 9, [(3, 3, 3)] * 3)[0] is TORUS
         built = BranchDatum(Surface(True, 1), Surface(False, 1), 2, [(2,), (2,)])
-        assert built.cover is TORUS and built.base is PROJECTIVE
+        assert built.cover == TORUS and hash(built.cover) == hash(TORUS)
+        assert built.base == PROJECTIVE and hash(built.base) == hash(PROJECTIVE)
         assert Surface(True, 1) is not TORUS and Surface(True, 1) == TORUS
 
     def test_tokens(self):
@@ -167,7 +169,8 @@ class TestBranchDatum:
             datum = parse_datum(line)
             back = pickle.loads(pickle.dumps(datum))
             assert back == datum and hash(back) == hash(datum)
-            assert back.base is datum.base and back.cover is datum.cover
+            assert back.base == datum.base and hash(back.base) == hash(datum.base)
+            assert back.cover == datum.cover and hash(back.cover) == hash(datum.cover)
             assert (back.n, back.n_tilde) == (datum.n, datum.n_tilde)
             assert [p.degree for p in back.partitions] == [datum.degree] * datum.n
             assert format_datum(back) == line
@@ -280,6 +283,15 @@ class TestPartitionsOf:
 
     def test_base_case(self):
         assert [p.parts for p in partitions_of(1)] == [(1,)]
+        for d in (0, -3):
+            with pytest.raises(ValueError, match="d must be positive"):
+                next(partitions_of(d))
+
+    def test_order_is_pinned(self):
+        # every partition of d = 1..30 (28,628), in the order they come
+        got = [[p.parts for p in partitions_of(d)] for d in range(1, 31)]
+        assert sum(map(len, got)) == 28628
+        assert hashlib.md5(repr(got).encode()).hexdigest() == "697d64f73d83108e26ffd79c186ece1e"
 
     def test_counts_match_oracle(self):
         for d in range(1, 31):

@@ -557,7 +557,8 @@ class TestNoConflict:
 
 
 class TestRuleOrder:
-    def test_fired_tags_of_small_sphere_data_are_pinned(self):
+    @staticmethod
+    def fired_digest(degrees, ns):
         # every rule that fires, in firing order, with its kind and all its
         # tags: a reordered battery or a changed tag moves the digest
         import hashlib
@@ -566,13 +567,21 @@ class TestRuleOrder:
 
         h = hashlib.md5()
         count = 0
-        for d in range(2, 8):
-            for datum in enumerate_compatible(d, range(0, 5)):
+        for d in degrees:
+            for datum in enumerate_compatible(d, ns):
                 fired = [(v.kind, v.tags) for v in run_predicates(datum)]
                 h.update(f"{format_datum(datum)}\t{fired!r}\n".encode())
                 count += 1
-        assert count == 1718
-        assert h.hexdigest() == "6ebbd5689a74013d703e23f6086c803a"
+        return count, h.hexdigest()
+
+    def test_fired_tags_of_small_sphere_data_are_pinned(self):
+        assert self.fired_digest(range(2, 8), range(0, 5)) == (
+            1718, "6ebbd5689a74013d703e23f6086c803a"
+        )
+
+    def test_fired_tags_of_shaped_three_point_data_are_pinned(self):
+        # d = 8 and 10 hold the first (5,3,2,...,2) shapes of Prop-53
+        assert self.fired_digest((8, 10), (3,)) == (3429, "5815735acd0dfdff98dc99a73e93af12")
 
 
 class TestProjectiveSweep:
