@@ -62,14 +62,16 @@ _HUNT_MAX x len(middle) rows of the longest hunt.  Attempt a always
 reads the same rows, so outcomes, witnesses and node counts do not
 depend on call order or on how far a table has grown.  The first
 _HUNT_PY (32) attempts are checked in Python, where most hunts hit;
-later ones in numpy chunks that conjugate and compose the whole chunk,
-drop rows by the fixed points of the product's powers, and test
-transitivity on the survivors in attempt order.  Since the table is
-fixed, the Python attempts memoize their conjugates per cycle type t and
-row index i (_conjugates): a datum's hunt reuses what the hunts of other
-data with a class of type t built at row i.  Only the rows of the Python
-attempts, at most _HUNT_PY x len(middle) per hunt, are ever stored, so
-the memo holds at most that many entries per type.
+later ones in numpy chunks that conjugate and compose the whole chunk
+by flat gathers, drop rows by the fixed points of the product's powers
+1..d//2 (they give the number of cycles of every length up to d/2, and
+at most one cycle is longer), and test transitivity on the survivors in
+attempt order.  Since the table is fixed, the Python attempts memoize
+their conjugates per cycle type t and row index i (_conjugates): a
+datum's hunt reuses what the hunts of other data with a class of type t
+built at row i.  Only the rows of the Python attempts, at most _HUNT_PY
+x len(middle) per hunt, are ever stored, so the memo holds at most that
+many entries per type.
 
 Classes come from one vectorised numpy enumerator, _class_chunks, as
 uint8 image rows in class order, at most _CHUNK rows at a time, and
@@ -383,8 +385,9 @@ def _orbit_firsts_hashed(cls: np.ndarray, zgens: list[Perm]) -> list[int]:
 
 
 def _target_fix_counts(t: tuple[int, ...], d: int) -> list[int]:
-    # fix(sigma^j) for j=1..d determines the cycle type and vice versa
-    return [sum(ln for ln in t if j % ln == 0) for j in range(1, d + 1)]
+    # fix(sigma^j) for j = 1..d//2 determines the cycle type (see
+    # _fix_count_survivors)
+    return [sum(ln for ln in t if j % ln == 0) for j in range(1, d // 2 + 1)]
 
 
 class _Budget:
@@ -467,22 +470,33 @@ def _random_hunt(
             budget.spend((a + 1) * m)
             return (tau1, *sigmas, inverse(pi))
     tau_arr = np.array(tau1, dtype=np.uint8)
+    rep_arr = np.array(reps)[:, None]
     tfix = _target_fix_counts(target, d)
     start = py_end
     while start < run:
         stop = min(run, start + min(max(start, 16), _HUNT_CHUNK))
-        g = _draw_rows(d, stop * m)[start * m : stop * m].reshape(stop - start, m, d)
-        # sigma = g o rep o g^-1, that is sigma[g[x]] = g[rep[x]]
-        sig = np.empty_like(g)
-        np.put_along_axis(sig, g, g[:, np.arange(m)[:, None], reps], axis=2)
-        pi = tau_arr[sig[:, 0]]
-        for j in range(1, m):
-            pi = np.take_along_axis(pi, sig[:, j], axis=1)
-        for k in _fix_count_survivors(pi, tfix, d).tolist():
-            sigmas = list(map(tuple, sig[k].tolist()))
+        k = stop - start
+        # the chunk's relabellings by middle class, row (j, a) the one of
+        # class j in attempt start + a, at flat position (j*k + a)*d
+        g = _draw_rows(d, stop * m)[start * m : stop * m].reshape(k, m, d).transpose(1, 0, 2)
+        base = np.arange(0, m * k * d, d).reshape(m, k, 1)
+        # sigma = g o rep o g^-1, that is sigma[g[x]] = g[rep[x]], kept as
+        # positions a*d + sigma(x) within the attempt's flat block
+        sig = np.empty(m * k * d, dtype=np.intp)
+        sig[base + g] = g.take(base + rep_arr)
+        sig = sig.reshape(m, k, d)
+        sig += base[0]
+        # pi = tau1 o sigma_0 o .. o sigma_{m-1}, composed from the right;
+        # tau1 last, at the points (positions mod d) the sigmas reach
+        pi = sig[m - 1]
+        for j in range(m - 2, -1, -1):
+            pi = sig[j].take(pi)
+        pi = tau_arr.take(pi % d)
+        for a in _fix_count_survivors(pi, tfix, d).tolist():
+            sigmas = list(map(tuple, (sig[:, a] - a * d).tolist()))
             if is_transitive([tau1, *sigmas], d):
-                budget.spend((start + k + 1) * m)
-                return (tau1, *sigmas, inverse(tuple(pi[k].tolist())))
+                budget.spend((start + a + 1) * m)
+                return (tau1, *sigmas, inverse(tuple(pi[a].tolist())))
         start = stop
     budget.spend(attempts * m)  # raises when the budget ran out first
     return None
@@ -490,19 +504,32 @@ def _random_hunt(
 
 def _fix_count_survivors(comp: np.ndarray, tfix: list[int], d: int) -> np.ndarray:
     """Indices, ascending, of the rows of comp whose powers comp^j have
-    tfix[j-1] fixed points for j = 1..d, that is the rows of the target
-    cycle type; rows that fail a power are dropped before the next one."""
-    idx = np.arange(d, dtype=np.uint8)
-    cur = comp
-    alive = np.arange(len(comp))
-    for j in range(1, d + 1):
-        if j > 1:
-            cur = np.take_along_axis(comp, cur, axis=1)
-        keep = np.count_nonzero(cur == idx, axis=1) == tfix[j - 1]
+    tfix[j-1] fixed points for j = 1..h, h = d // 2, that is the rows of
+    the target cycle type; rows that fail a power are dropped before the
+    next one.
+
+    h powers suffice.  With c_l the number of l-cycles of a row,
+    fix(comp^j) = sum of l c_l over the l dividing j, so the counts for
+    j = 1..h give l c_l for every l <= h by Moebius inversion.  The other
+    points lie in cycles longer than h, that is longer than d/2; there is
+    at most one such cycle, so its length is the number of those points.
+
+    Power 1 is read off comp's own images.  Point x of the i-th row it
+    keeps sits at flat position i*d + x, and cur holds the flat positions
+    of comp^j, so each later power is one take over the flat rows, and
+    dropping rows needs no re-basing."""
+    alive = np.flatnonzero((comp == np.arange(d, dtype=comp.dtype)).sum(axis=1) == tfix[0])
+    n = len(alive)
+    pos = np.arange(n * d).reshape(n, d)
+    flat = (comp[alive] + pos[:, :1]).ravel()
+    cur = flat.reshape(n, d)
+    for want in tfix[1:]:
+        if not len(alive):
+            break
+        cur = flat.take(cur)
+        keep = (cur == pos).sum(axis=1) == want
         if not keep.all():
-            alive, comp, cur = alive[keep], comp[keep], cur[keep]
-            if not len(alive):
-                break
+            alive, cur, pos = alive[keep], cur[keep], pos[keep]
     return alive
 
 

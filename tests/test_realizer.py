@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -46,6 +47,7 @@ from hurwitz.realizer import (
 )
 from conftest import (
     centralizer_generators_reference,
+    cycle_type_reference,
     naive_search_n3,
     naive_search_n3_unanchored,
     reference_hunt,
@@ -566,6 +568,37 @@ class TestScans:
                 assert got == [("out of budget", None, limit)] * 4, (line, limit)
 
 
+class TestFixCountSurvivors:
+    """_fix_count_survivors(rows, _target_fix_counts(t, d), d) against
+    its definition: the indices of the rows of cycle type t."""
+
+    @staticmethod
+    def check(rows, d, types):
+        row_types = [cycle_type_reference(r) for r in map(tuple, rows.tolist())]
+        for t in types:
+            got = realizer._fix_count_survivors(rows, realizer._target_fix_counts(t, d), d)
+            want = [i for i, u in enumerate(row_types) if u == t]
+            assert got.tolist() == want, (d, t)
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_every_row_of_the_symmetric_group(self, d):
+        rows = np.array(list(itertools.permutations(range(d))), dtype=np.uint8)
+        self.check(rows, d, [p.parts for p in partitions_of(d)])
+
+    @pytest.mark.parametrize("d", range(8, 17))
+    def test_seeded_random_rows(self, d):
+        rng = random.Random(d)
+        rows = np.array([random_permutation(d, rng) for _ in range(2_000)], dtype=np.uint8)
+        types = {cycle_type_reference(r) for r in map(tuple, rows.tolist())}
+        assert len(types) > 1
+        self.check(rows, d, types)
+
+    def test_empty_input(self):
+        rows = np.empty((0, 6), dtype=np.uint8)
+        got = realizer._fix_count_survivors(rows, realizer._target_fix_counts((3, 3), 6), 6)
+        assert got.tolist() == []
+
+
 def _watch_streaming(monkeypatch):
     """A list that gets, for each plan entry the search reads rows of,
     whether it is a chunk stream rather than a table."""
@@ -707,6 +740,10 @@ HUNTED = [
     ("d=10 cover=O0 base=O0 parts=[8,1,1|7,1,1,1|6,1,1,1,1]", 1_159),
     ("d=8 cover=O0 base=O0 parts=[4,1,1,1,1|4,1,1,1,1|4,1,1,1,1|4,1,1,1,1|3,1,1,1,1,1]", 2_183),
     ("d=10 cover=O0 base=O0 parts=[7,1,1,1|7,1,1,1|7,1,1,1]", None),
+    # the latest hit of the walks of d = 12 data with a (3,3,3,3) point
+    ("d=12 cover=O1 base=O0 parts=[6,2,2,2|3,3,3,3|3,3,3,3]", 1_148),
+    ("d=11 cover=O0 base=O0 parts=[10,1|8,1,1,1|5,1,1,1,1,1,1]", 366),
+    ("d=9 cover=O0 base=O0 parts=[7,1,1|5,1,1,1,1|5,1,1,1,1|3,1,1,1,1,1,1]", 242),
 ]
 
 
