@@ -31,7 +31,7 @@ from .core import (
     check_compatibility,
 )
 from .criteria import (
-    DEFAULT_BUDGET, EXCEPTIONAL, INCOMPATIBLE, REALIZABLE, UNKNOWN, classify,
+    DEFAULT_BUDGET, EXCEPTIONAL, INCOMPATIBLE, REALIZABLE, SEARCH_VERDICTS, UNKNOWN, classify,
 )
 from .perms import Perm, format_cycles, parse_cycles
 from .realizer import Realization, verify_witness
@@ -41,8 +41,7 @@ CATALOG_COLUMNS = ("datum", "verdict", "tag", "witness", "nodes", "ms")
 _VERDICTS = frozenset((REALIZABLE, EXCEPTIONAL, INCOMPATIBLE, UNKNOWN))
 # (verdict, tag, has a witness) of each outcome of the search
 _SEARCH_OUTCOMES = frozenset(
-    ((REALIZABLE, "search-found", True), (EXCEPTIONAL, "search-exhausted", False),
-     (UNKNOWN, "budget-exceeded", False))
+    (kind, tag, kind == REALIZABLE) for kind, tag in SEARCH_VERDICTS.values()
 )
 
 

@@ -32,12 +32,19 @@ from .core import (
     refines_two_halves,
 )
 from .blocks import reduce_projective
-from .realizer import DEFAULT_BUDGET, EXHAUSTED, FOUND, Realization, search
+from .realizer import BUDGET_EXCEEDED, DEFAULT_BUDGET, EXHAUSTED, FOUND, Realization, search
 
 INCOMPATIBLE = "incompatible"
 REALIZABLE = "realizable"
 EXCEPTIONAL = "exceptional"
 UNKNOWN = "unknown"
+
+# search status -> (verdict kind, provenance tag)
+SEARCH_VERDICTS = {
+    FOUND: (REALIZABLE, "search-found"),
+    EXHAUSTED: (EXCEPTIONAL, "search-exhausted"),
+    BUDGET_EXCEEDED: (UNKNOWN, "budget-exceeded"),
+}
 
 
 class ConsistencyError(RuntimeError):
@@ -362,15 +369,10 @@ def run_predicates(datum: BranchDatum) -> list[Verdict]:
 def search_verdict(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> Verdict:
     """The verdict of the sphere search on a compatible datum: REALIZABLE
     search-found with its witness, EXCEPTIONAL search-exhausted, or
-    UNKNOWN budget-exceeded, with the search's nodes."""
+    UNKNOWN budget-exceeded (SEARCH_VERDICTS), with the search's nodes."""
     result = search(datum, budget)
-    if result.status == FOUND:
-        return Verdict(
-            REALIZABLE, ("search-found",), witness=result.realization, nodes=result.nodes
-        )
-    if result.status == EXHAUSTED:
-        return Verdict(EXCEPTIONAL, ("search-exhausted",), nodes=result.nodes)
-    return Verdict(UNKNOWN, ("budget-exceeded",), nodes=result.nodes)
+    kind, tag = SEARCH_VERDICTS[result.status]
+    return Verdict(kind, (tag,), witness=result.realization, nodes=result.nodes)
 
 
 def classify(

@@ -78,19 +78,6 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
     return tuple(out)
 
 
-def cycle_count(p: Perm) -> int:
-    seen = bytearray(len(p))
-    count = 0
-    for i in range(len(p)):
-        if not seen[i]:
-            count += 1
-            j = i
-            while not seen[j]:
-                seen[j] = 1
-                j = p[j]
-    return count
-
-
 def is_transitive(gens: Sequence[Perm], degree: int) -> bool:
     """Orbit closure of 0 under the generated group covers {0..d-1}."""
     if degree <= 1:
@@ -110,6 +97,27 @@ def is_transitive(gens: Sequence[Perm], degree: int) -> bool:
                 found += 1
                 stack.append(y)
     return found == degree
+
+
+def orbit_count(gens: Sequence[Perm], degree: int) -> int:
+    """The number of orbits of the group gens generate on {0..d-1}; of
+    one permutation, its number of cycles."""
+    seen = bytearray(degree)
+    count = 0
+    for s in range(degree):
+        if seen[s]:
+            continue
+        count += 1
+        seen[s] = 1
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                y = g[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+    return count
 
 
 @lru_cache(maxsize=None)

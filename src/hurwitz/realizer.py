@@ -22,8 +22,10 @@ Pruning, all of it certificate-preserving:
 * a partial product pi must stay within transposition distance of what
   the remaining classes can still contribute; sign is a homomorphism
   and compatibility condition 2 makes the parity always match;
-* the orbit partition of the placed generators must be mergeable into
-  one orbit by the cycles the remaining enumerated classes can offer.
+* the orbits of the placed generators, counted on the generators
+  themselves with no partition carried from node to node, must be
+  mergeable into one orbit by the cycles the remaining enumerated
+  classes can offer.
 
 Stabilizer-least rows.  A row sigma is read in class order (see
 perms.class_rows): from each cycle's opening point a, the least point
@@ -49,29 +51,29 @@ witness, and a walk without one still certifies exhaustion, at far
 fewer nodes (the (3,3,3,3)-anchored d = 12 data: 251,328-318,087 nodes
 down to 7,072-8,412).
 
-Budgets count visited candidates, each charged as it is visited, so a
-search that reports N nodes returns the same result with budget N and
-BUDGET_EXCEEDED with N - 1; a zero budget returns BUDGET_EXCEEDED before
-anything is built.  Only a completed walk certifies
-exceptionality; a randomized witness hunt runs first whenever the
-remaining classes are too large to walk cheaply, so oversized realizable
-data still produce witnesses.  The hunt's relabellings come from one
-uint8 draw table per degree, drawn from one Random(_SEED) kept per
-degree and grown to exactly the rows a hunt asks for, at most the
-_HUNT_MAX x len(middle) rows of the longest hunt.  Attempt a always
-reads the same rows, so outcomes, witnesses and node counts do not
-depend on call order or on how far a table has grown.  The first
-_HUNT_PY (32) attempts are checked in Python, where most hunts hit;
-later ones in numpy chunks that conjugate and compose the whole chunk
-by flat gathers, drop rows by the fixed points of the product's powers
-1..d//2 (they give the number of cycles of every length up to d/2, and
-at most one cycle is longer), and test transitivity on the survivors in
-attempt order.  Since the table is fixed, the Python attempts memoize
-their conjugates per cycle type t and row index i (_conjugates): a
-datum's hunt reuses what the hunts of other data with a class of type t
-built at row i.  Only the rows of the Python attempts, at most _HUNT_PY
-x len(middle) per hunt, are ever stored, so the memo holds at most that
-many entries per type.
+Budgets count visited candidates, each charged as it is visited (the
+last level's chunk by chunk, up to the hit), so a search that reports N
+nodes returns the same result with budget N and BUDGET_EXCEEDED with
+N - 1; a zero budget returns BUDGET_EXCEEDED before anything is built.
+Only a completed walk certifies exceptionality; a randomized witness
+hunt runs first whenever the remaining classes are too large to walk
+cheaply, so oversized realizable data still produce witnesses.  The
+hunt's relabellings come from one uint8 draw table per degree, drawn
+from one Random(_SEED) kept per degree and grown to exactly the rows a
+hunt asks for, at most the _HUNT_MAX x len(middle) rows of the longest
+hunt.  Attempt a always reads the same rows, so outcomes, witnesses and
+node counts do not depend on call order or on how far a table has
+grown.  The first _HUNT_PY (32) attempts are checked in Python, where
+most hunts hit; later ones in numpy chunks that conjugate and compose
+the whole chunk by flat gathers, drop rows by the fixed points of the
+product's powers 1..d//2 (they give the number of cycles of every
+length up to d/2, and at most one cycle is longer), and test
+transitivity on the survivors in attempt order.  Since the table is
+fixed, the Python attempts memoize their conjugates per cycle type t
+and row index i (_conjugates): a datum's hunt reuses what the hunts of
+other data with a class of type t built at row i.  Only the rows of the
+Python attempts, at most _HUNT_PY x len(middle) per hunt, are ever
+stored, so the memo holds at most that many entries per type.
 
 Classes come from one vectorised numpy enumerator, _class_chunks, as
 uint8 image rows in class order, at most _CHUNK rows at a time, and
@@ -109,11 +111,11 @@ from .perms import (
     centralizer_generators,
     compose,
     conjugate,
-    cycle_count,
     cycle_type,
     identity,
     inverse,
     is_transitive,
+    orbit_count,
     product,
     random_permutation,
 )
@@ -127,10 +129,14 @@ DEFAULT_BUDGET = 10**9
 _REDUCTION_LIMIT = 200_000  # max class size for centralizer-orbit reduction
 _CACHE_BYTES = 16 << 20     # max bytes (size x degree) of a cached class table
 _RANDOM_TRIGGER = 20_000    # remaining-space size that switches the hunt on
-# Below this scan length the Python scan is faster, above it numpy: numpy
-# alone took the traced scan time from 0.07 to 0.12 s on catalog-d8n5 and
-# from 0.14 to 0.28 s on catalog-d10n3, Python alone from 0.42 to 12.1 s
-# on walks-d12 (bench/run.py --trace 1, 2-vCPU host).
+# Tables shorter than this are scanned in Python, longer ones and streams
+# in numpy.  No workload scans such a table (seed 1): catalog-d8n5 and
+# catalog-d10n3 make 889 and 1,125 Python scans of at most 828 and 2,508
+# rows, walks-d12 13 numpy scans of streams; only tests (TestScans, and
+# numpy_min 0 in TestStreamedClasses) scan a table in numpy.  Scan time,
+# numpy for all against this split: 0.07-0.10 vs 0.06-0.09 s on
+# catalog-d8n5, 0.19-0.21 vs 0.17-0.20 s on catalog-d10n3; Python for
+# all on walks-d12: 0.12-0.13 vs 0.05-0.08 s (three runs each, 2 vCPUs).
 _NUMPY_MIN = 20_000
 _CHUNK = 50_000
 _SEED = 0x5EED
@@ -404,25 +410,6 @@ class _Budget:
         self.nodes += k
 
 
-def _merge_cycles(parent: list[int], sigma: Perm) -> tuple[list[int], int]:
-    """Union the cycles of sigma into a copy of the orbit partition;
-    returns (new partition, orbit count)."""
-    par = parent[:]
-
-    def find(x: int) -> int:
-        while par[x] != x:
-            par[x] = par[par[x]]
-            x = par[x]
-        return x
-
-    for i, v in enumerate(sigma):
-        ri, rv = find(i), find(v)
-        if ri != rv:
-            par[rv] = ri
-    count = sum(1 for i in range(len(par)) if find(i) == i)
-    return par, count
-
-
 def _draw_rows(d: int, need: int) -> np.ndarray:
     """The degree-d draw table, grown to at least ``need`` rows: the rows
     it lacks are drawn, in order, into a larger copy."""
@@ -533,18 +520,6 @@ def _fix_count_survivors(comp: np.ndarray, tfix: list[int], d: int) -> np.ndarra
     return alive
 
 
-def _scan_python(source, pi, target, parent, budget, gens_for_transitivity, d):
-    for sigma in _perms(source):
-        budget.spend(1)
-        prod_images = tuple(map(pi.__getitem__, sigma))
-        if cycle_type(prod_images) != target:
-            continue
-        _, orbit_count = _merge_cycles(parent, sigma)
-        if orbit_count != 1:
-            continue
-        raise _Witness((*gens_for_transitivity, sigma, inverse(prod_images)))
-
-
 def _row_chunks(source) -> Iterator[np.ndarray]:
     """The rows of a plan entry, at most _CHUNK at a time.  A table is
     sliced in chunks that start small and double, so a scan that stops
@@ -562,28 +537,40 @@ def _row_chunks(source) -> Iterator[np.ndarray]:
         size *= 2
 
 
-def _perms(source) -> Iterator[Perm]:
-    """The rows of a plan entry as Perm tuples, for the Python levels."""
-    for chunk in _row_chunks(source):
-        yield from map(tuple, chunk.tolist())
+def _scan_python(source, pi, target, gens, budget, d):
+    def survivors(chunk):  # pi o sigma of the target type, row by row
+        for h, sigma in enumerate(chunk.tolist()):
+            if cycle_type(tuple(map(pi.__getitem__, sigma))) == target:
+                yield h
+
+    _scan(source, pi, gens, budget, d, survivors)
 
 
-def _scan_numpy(source, pi, target, parent, budget, gens_for_transitivity, d):
+def _scan_numpy(source, pi, target, gens, budget, d):
     pi_arr = np.array(pi, dtype=np.uint8)
     tfix = _target_fix_counts(target, d)
+
+    def survivors(chunk):  # pi o sigma of the target type, chunk at once
+        return _fix_count_survivors(pi_arr[chunk], tfix, d).tolist()
+
+    _scan(source, pi, gens, budget, d, survivors)
+
+
+def _scan(source, pi, gens, budget, d, survivors) -> None:
+    """The last level: raises the witness (*gens, sigma, (pi o sigma)^-1)
+    for the first row sigma of source such that pi o sigma has the target
+    type and gens with sigma act transitively; survivors(chunk) yields,
+    ascending, the indices of a chunk's rows of that type.  A hit at row
+    h of a chunk costs h + 1 nodes, a chunk without one its length."""
     for chunk in _row_chunks(source):
-        alive = _fix_count_survivors(pi_arr[chunk], tfix, d)  # pi o sigma of the target type
         remaining = budget.limit - budget.nodes
-        for h in alive.tolist():
+        for h in survivors(chunk):
             if h + 1 > remaining:
                 budget.spend(h + 1)  # raises
             sigma = tuple(chunk[h].tolist())
-            _, orbit_count = _merge_cycles(parent, sigma)
-            if orbit_count != 1:
-                continue
-            budget.spend(h + 1)
-            prod_images = tuple(map(pi.__getitem__, sigma))
-            raise _Witness((*gens_for_transitivity, sigma, inverse(prod_images)))
+            if is_transitive((*gens, sigma), d):
+                budget.spend(h + 1)
+                raise _Witness((*gens, sigma, inverse(compose(pi, sigma))))
         budget.spend(len(chunk))
 
 
@@ -652,30 +639,28 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
         # transposition capacity includes the forced last permutation
         suffix_trans = [x + (d - len(target)) for x in suffix_merge]
 
-        parent0, _ = _merge_cycles(list(range(d)), tau1)
-
         last = len(middle) - 1
 
-        def walk(j: int, pi: Perm, parent: list[int], gens: tuple[Perm, ...]) -> None:
+        def walk(j: int, pi: Perm, gens: tuple[Perm, ...]) -> None:
             source = plan[j]
             if j == last:
                 # streamed entries exceed _NUMPY_MIN rows: _REDUCTION_LIMIT
                 # at level 0, _CACHE_BYTES / d >= 65,536 at a later level
                 short = isinstance(source, np.ndarray) and len(source) < _NUMPY_MIN
                 scan = _scan_python if short else _scan_numpy
-                scan(source, pi, target, parent, bud, gens, d)
+                scan(source, pi, target, gens, bud, d)
                 return
-            for sigma in _perms(source):
-                bud.spend(1)
-                pi2 = compose(pi, sigma)
-                if d - cycle_count(pi2) > suffix_trans[j + 1]:
-                    continue
-                parent2, orb2 = _merge_cycles(parent, sigma)
-                if orb2 - 1 > suffix_merge[j + 1]:
-                    continue
-                walk(j + 1, pi2, parent2, (*gens, sigma))
+            for chunk in _row_chunks(source):
+                for sigma in map(tuple, chunk.tolist()):
+                    bud.spend(1)
+                    pi2 = compose(pi, sigma)
+                    if d - orbit_count((pi2,), d) > suffix_trans[j + 1]:
+                        continue
+                    if orbit_count((*gens, sigma), d) - 1 > suffix_merge[j + 1]:
+                        continue
+                    walk(j + 1, pi2, (*gens, sigma))
 
-        walk(0, tau1, parent0, (tau1,))
+        walk(0, tau1, (tau1,))
     except _OutOfBudget:
         return SearchResult(BUDGET_EXCEEDED, None, bud.nodes)
     except _Witness as w:

@@ -35,6 +35,24 @@ def cycle_type_reference(p: perms.Perm) -> tuple[int, ...]:
     return tuple(out)
 
 
+def orbit_count_reference(gens, d: int) -> int:
+    """What perms.orbit_count returns, by union-find: each point is
+    merged with its image under every generator, and the roots are
+    counted."""
+    parent = list(range(d))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in gens:
+        for x, y in enumerate(g):
+            parent[find(y)] = find(x)
+    return sum(find(x) == x for x in range(d))
+
+
 def partition_count_oracle(d: int) -> int:
     """Number of partitions of d by the classic dynamic program."""
     table = [1] + [0] * d

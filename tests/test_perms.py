@@ -14,18 +14,18 @@ from hurwitz.perms import (
     class_size,
     compose,
     conjugate,
-    cycle_count,
     cycle_type,
     cycles,
     format_cycles,
     identity,
     inverse,
     is_transitive,
+    orbit_count,
     parse_cycles,
     product,
     random_permutation,
 )
-from conftest import cycle_type_reference, format_cycles_reference
+from conftest import cycle_type_reference, format_cycles_reference, orbit_count_reference
 
 
 def all_of_degree(d):
@@ -66,9 +66,10 @@ class TestCycleType:
         p = compose(parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 3 2)", 4))
         assert cycle_type(p) == (2, 1, 1)
 
-    def test_cycle_count_matches(self):
-        for p in all_of_degree(5):
-            assert cycle_count(p) == len(cycle_type(p))
+    def test_orbit_count_of_one_permutation_is_its_cycle_count(self):
+        for d in range(6):
+            for p in all_of_degree(d):
+                assert orbit_count((p,), d) == len(cycle_type(p))
 
     def test_cycles_cover_ground_set(self):
         p = parse_cycles("(1 2)(4 5)", 6)
@@ -111,6 +112,7 @@ class TestTransitivity:
     def test_empty_generators(self):
         assert not is_transitive([], 2)
         assert is_transitive([], 1)
+        assert [orbit_count((), d) for d in range(3)] == [0, 1, 2]
 
 
 class TestClassRepresentative:
@@ -310,3 +312,15 @@ def test_product_folds_right_factor_first(ps):
     for p in ps:
         expected = compose(expected, p)
     assert product(ps, d) == expected
+
+
+@given(
+    st.integers(min_value=0, max_value=7).flatmap(
+        lambda d: st.tuples(st.just(d), st.lists(perm_of(d), max_size=4))
+    )
+)
+def test_orbit_count_as_the_union_find_reference(drawn):
+    d, gens = drawn
+    gens = [tuple(g) for g in gens]
+    assert orbit_count(gens, d) == orbit_count_reference(gens, d)
+    assert is_transitive(gens, d) == (orbit_count(gens, d) <= 1)
