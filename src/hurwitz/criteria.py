@@ -431,7 +431,8 @@ def classify(
             if sub.kind == UNKNOWN:
                 saw_unknown = True
         if saw_unknown:
-            return Verdict(UNKNOWN, ("budget-exceeded",), nodes=nodes)
+            kind, tag = SEARCH_VERDICTS[BUDGET_EXCEEDED]
+            return Verdict(kind, (tag,), nodes=nodes)
         return Verdict(EXCEPTIONAL, ("reduction-exhausted",), nodes=nodes)
 
     raise AssertionError(f"unreachable: no rule and no fallback for {datum}")

@@ -75,16 +75,17 @@ other data with a class of type t built at row i.  Only the rows of the
 Python attempts, at most _HUNT_PY x len(middle) per hunt, are ever
 stored, so the memo holds at most that many entries per type.
 
-Classes come from one vectorised numpy enumerator, _class_chunks, as
-uint8 image rows in class order, at most _CHUNK rows at a time, and
-the stabilizer-least rows from perms.class_rows, read point by point in
-Python, in chunks of the same bound.  A class is
-cached per cycle type as one array when it takes at most _CACHE_BYTES
-(16 MiB, that is class size times degree bytes); orbit reduction, at
-every degree up to 256, selects rows of that array.  Both tables, per
-type and per (anchor, type), are unbounded lru_caches.  A larger class,
-and the stabilizer-least rows of a second class above _REDUCTION_LIMIT,
-are streamed chunk by chunk on every visit.  A witness is checked by
+Classes come from one numpy builder, _class_chunks, as uint8 image rows
+in class order, at most _CHUNK rows at a time, each block written
+directly from its first cycle and the rows of a smaller class; the
+stabilizer-least rows come from perms.class_rows, read point by point
+in Python, in chunks of the same bound.  A class is cached per cycle
+type as one array when it takes at most _CACHE_BYTES (16 MiB, that is
+class size times degree bytes); orbit reduction, at every degree up to
+256, selects rows of that array.  Both tables, per type and per
+(anchor, type), are unbounded lru_caches.  A larger class, and the
+stabilizer-least rows of a second class above _REDUCTION_LIMIT, are
+streamed chunk by chunk on every visit.  A witness is checked by
 verify_witness before it is returned, also under ``python -O``.
 """
 
@@ -142,8 +143,12 @@ _CHUNK = 50_000
 _SEED = 0x5EED
 _HUNT_MAX = 40_000  # attempts of the longest hunt
 # Hunt attempts checked in Python before the numpy chunks: 94% of the
-# hunts in the catalogs d<=8, n<=5 and d<=10, n=3 hit within them, and
-# numpy from the first attempt made catalog-d8n5 slower.
+# hunts in the catalogs d<=8, n<=5 and d<=10, n=3 hit within them.  At 0
+# (bench/run.py --seconds 10, one pair a workload, nodes identical)
+# catalog-d8n5 wall_s went 2.30/2.75 -> 3.33/3.47 s, item_ms_p50 0.076 ->
+# 0.118 ms on catalog-d10n3 and 0.117 -> 0.169 ms on walks-d12.  Without
+# the _conjugates memo catalog-d8n5 went 2.910 -> 3.245 s wall_s and
+# 0.0141 -> 0.0165 ms item_ms_p50 (4 pairs, 4 worse).
 _HUNT_PY = 32
 _HUNT_CHUNK = 4096  # most attempts per numpy chunk, so its arrays stay small
 
@@ -213,61 +218,39 @@ def _class_chunks(t: tuple[int, ...]) -> Iterator[np.ndarray]:
     """Every permutation of cycle type t as uint8 rows, in class order
     (perms.class_rows), in chunks of at most _CHUNK rows.
 
-    Class order closes a first cycle through point 0 for each length,
-    longest first, and each ordered choice of its other points, and then
-    reads the rest of the class on the unused points, which is the class
-    of the remaining type relabelled in increasing order.  So the class
-    is the blocks of _cycle_rows, one per length.
+    For each length ln, longest first, and each ordered choice
+    c_1..c_{ln-1} of the other points of the cycle through 0, class
+    order reads one block: its rows map 0 -> c_1 -> .. -> c_{ln-1} -> 0
+    and, with u_0 < u_1 < .. the unused points, u_k -> u_s[k] for each
+    row s of class rest (t less one ln), so two assignments write it.  A
+    rest class that fits in one chunk is built once and serves
+    _CHUNK // size choices at a time; a larger one is streamed again for
+    each choice.
     """
     if not t:
         yield np.empty((1, 0), dtype=np.uint8)  # the empty permutation
         return
+    d = sum(t)
     for ln in sorted(set(t), reverse=True):
-        yield from _cycle_rows(ln, _without(t, ln))
-
-
-def _without(t: tuple[int, ...], ln: int) -> tuple[int, ...]:
-    k = t.index(ln)
-    return t[:k] + t[k + 1 :]
-
-
-def _cycle_rows(ln: int, rest: tuple[int, ...]) -> Iterator[np.ndarray]:
-    """The rows of class (ln, *rest) whose cycle through 0 has length ln,
-    in class order (perms.class_rows), in chunks of at most _CHUNK rows.
-
-    Each block (choice of the cycle's other points) is class rest
-    conjugated by the relabelling g with g(0) = 0, g(1..ln-1) = the
-    choice and g(ln..) = the unused points in increasing order.  A rest
-    class that fits in one chunk is built once and conjugated by as many
-    choices at a time as the chunk holds; a larger one is streamed again
-    for each choice.
-    """
-    d = ln + sum(rest)
-    cycle = np.roll(np.arange(ln, dtype=np.uint8), -1)  # (0 1 .. ln-1)
-    if class_size(rest) <= _CHUNK:
-        es = [_beside_cycle(cycle, np.concatenate(list(_class_chunks(rest))))]
-        step = _CHUNK // class_size(rest)
-    else:
-        es, step = None, 1
-    choices = itertools.permutations(range(1, d), ln - 1)
-    while batch := list(itertools.islice(choices, step)):
-        a = len(batch)
-        g = np.zeros((a, d), dtype=np.uint8)
-        g[:, 1:ln] = np.array(batch, dtype=np.uint8).reshape(a, ln - 1)
-        free = np.ones((a, d), dtype=bool)
-        free[np.arange(a)[:, None], g[:, :ln]] = False
-        g[:, ln:] = np.nonzero(free)[1].reshape(a, d - ln)
-        ginv = np.argsort(g, axis=1).astype(np.uint8)
-        for e in es or (_beside_cycle(cycle, sub) for sub in _class_chunks(rest)):
-            # row (i, s) is g_i o e_s o g_i^-1, looping over the shorter axis
-            block = np.empty((a, len(e), d), dtype=np.uint8)
-            if a <= len(e):
-                for i in range(a):
-                    block[i] = g[i][e[:, ginv[i]]]
-            else:
-                for s in range(len(e)):
-                    block[:, s] = np.take_along_axis(g, e[s][ginv], axis=1)
-            yield block.reshape(-1, d)
+        k = t.index(ln)
+        rest = t[:k] + t[k + 1 :]
+        size = class_size(rest)
+        subs = [np.concatenate(list(_class_chunks(rest)))] if size <= _CHUNK else None
+        step = max(1, _CHUNK // size)
+        choices = itertools.permutations(range(1, d), ln - 1)
+        while batch := list(itertools.islice(choices, step)):
+            a = len(batch)
+            choice = np.arange(a)[:, None]
+            cyc = np.zeros((a, ln + 1), dtype=np.uint8)  # 0, c_1, .., c_{ln-1}, 0
+            cyc[:, 1:ln] = np.array(batch, dtype=np.uint8).reshape(a, ln - 1)
+            free = np.ones((a, d), dtype=bool)
+            free[choice, cyc[:, :ln]] = False
+            unused = np.nonzero(free)[1].astype(np.uint8).reshape(a, d - ln)
+            for sub in subs or _class_chunks(rest):
+                block = np.empty((a, len(sub), d), dtype=np.uint8)
+                block[choice, :, cyc[:, :ln]] = cyc[:, 1:, None]
+                block[choice[:, :, None], np.arange(len(sub))[:, None], unused[:, None]] = unused[:, sub]
+                yield block.reshape(-1, d)
 
 
 def _stabilizer_least(t: tuple[int, ...], anchor: tuple[int, ...]) -> Iterator[np.ndarray]:
@@ -278,11 +261,6 @@ def _stabilizer_least(t: tuple[int, ...], anchor: tuple[int, ...]) -> Iterator[n
     d = sum(t)
     for rows in class_rows(t, anchor, _CHUNK):
         yield np.frombuffer(rows, dtype=np.uint8).reshape(-1, d)
-
-
-def _beside_cycle(cycle: np.ndarray, sub: np.ndarray) -> np.ndarray:
-    """Rows of the cycle on 0..ln-1 beside each row of sub moved to ln..d-1."""
-    return np.hstack([np.broadcast_to(cycle, (len(sub), len(cycle))), sub + np.uint8(len(cycle))])
 
 
 def _build_class_list(t: tuple[int, ...]) -> memoryview:

@@ -398,6 +398,17 @@ class TestClassTable:
             assert max(map(len, chunks)) <= chunk, t
             assert np.array_equal(np.concatenate(chunks), _reference_rows(t)), t
 
+    @pytest.mark.parametrize("chunk", [45, 44])
+    def test_rest_class_at_the_chunk_bound(self, monkeypatch, chunk):
+        # the rest (2,2,1,1) beside a 3-cycle has 45 rows: at 45 it is
+        # built once and serves one choice a chunk, at 44 it is streamed
+        monkeypatch.setattr(realizer, "_CHUNK", chunk)
+        t = (3, 2, 2, 1, 1)
+        assert class_size((2, 2, 1, 1)) == 45
+        chunks = list(realizer._class_chunks(t))
+        assert max(map(len, chunks)) <= chunk
+        assert np.array_equal(np.concatenate(chunks), _reference_rows(t))
+
     @pytest.mark.parametrize("chunk", [7, realizer._CHUNK])
     def test_stabilizer_least_rows(self, monkeypatch, chunk):
         # for every anchor and type of degree up to 7, the rows kept are a
