@@ -75,6 +75,23 @@ other data with a class of type t built at row i.  Only the rows of the
 Python attempts, at most _HUNT_PY x len(middle) per hunt, are ever
 stored, so the memo holds at most that many entries per type.
 
+The hunt's ledger.  Attempt a's product tau1 o sigma_1 o .. o sigma_m
+depends on the key (tau1, *middle) and the table, not on the target,
+so the hunts of one key at different targets share it: _ledgers holds,
+per key, attempts 0..n-1 as one bytearray, a cycle-type id per Python
+attempt and the product row per numpy attempt.  A hunt reads its
+attempts in the order and chunks it would compute them; a chunk the
+ledger holds skips conjugation and composition, and one past its end is
+computed and appended.  A held Python attempt is compared by its id,
+the cycle-type filter still runs chunk by chunk, and transitivity is
+tested only on attempts of the target type, on sigmas rebuilt from the
+table, and never stored: a catalog hunts each (key, target) once.  The ledger holds one (d, len(middle)) slice
+at a time, so a hunt of another slice starts it afresh, and at most
+_CACHE_BYTES bytes and 256 cycle types; past that, attempts are
+computed and not stored.  Classifying the 937 sphere d = 12, n = 3
+data with a (3,3,3,3) point runs 884 hunts that charge 104,061
+attempts, and the ledger ends holding 28,794.
+
 Classes come from one numpy builder, _class_chunks, as uint8 image rows
 in class order, at most _CHUNK rows at a time, each block written
 directly from its first cycle and the rows of a smaller class; the
@@ -128,7 +145,7 @@ BUDGET_EXCEEDED = "budget-exceeded"
 DEFAULT_BUDGET = 10**9
 
 _REDUCTION_LIMIT = 200_000  # max class size for centralizer-orbit reduction
-_CACHE_BYTES = 16 << 20     # max bytes (size x degree) of a cached class table
+_CACHE_BYTES = 16 << 20     # max bytes of a cached class table, and of the hunt's ledger
 _RANDOM_TRIGGER = 20_000    # remaining-space size that switches the hunt on
 # Tables shorter than this are scanned in Python, longer ones and streams
 # in numpy.  No workload scans such a table (seed 1): catalog-d8n5 and
@@ -212,6 +229,25 @@ _draws: dict[int, tuple[random.Random, np.ndarray]] = {}
 # conjugate(class_representative(t), row i), for the rows that the
 # Python attempts read
 _conjugates: dict[tuple[int, ...], dict[int, Perm]] = {}
+
+
+class _Ledger(dict):
+    """What the hunts of one (d, len(middle)) slice have learnt: per key
+    (tau1, *middle), one bytearray of its attempts 0..n-1.  Byte a <
+    _HUNT_PY is the id of Python attempt a's product cycle type, and
+    each d bytes from _HUNT_PY on are a numpy attempt's product row.
+    type_ids numbers the cycle types met, at most 256 of them, and
+    nbytes counts the bytes held."""
+
+    def __init__(self, part: tuple[int, int] | None = None):
+        super().__init__()
+        self.part = part
+        self.type_ids: dict[tuple[int, ...], int] = {}
+        self.nbytes = 0
+
+
+# the hunt's ledger (see the module docstring)
+_ledgers = _Ledger()
 
 
 def _class_chunks(t: tuple[int, ...]) -> Iterator[np.ndarray]:
@@ -414,14 +450,30 @@ def _random_hunt(
     them into tau1 and returns the first tuple whose product closes with
     the target type and acts transitively.  Each attempt costs m nodes,
     up to and including the hit; the first _HUNT_PY attempts are checked
-    in Python, the rest in numpy chunks that start small and double."""
+    in Python, the rest in numpy chunks that start small and double.
+    What the ledger holds of the key (tau1, *middle) is read, not
+    recomputed, and what it lacks is appended while it has room."""
+    global _ledgers
     m = len(middle)
+    if _ledgers.part != (d, m):
+        _ledgers = _Ledger((d, m))
+    ledger, key = _ledgers, (tau1, *middle)
     reps = [class_representative(t) for t in middle]
     run = min(attempts, (budget.limit - budget.nodes) // m)  # what the budget affords
+    held = ledger.get(key)
+    if held is None:
+        held = bytearray()
+        if run and ledger.nbytes < _CACHE_BYTES:
+            ledger[key] = held
     py_end = min(run, _HUNT_PY)
     draws = _draw_rows(d, py_end * m)
     memos = [_conjugates.setdefault(t, {}) for t in middle]
+    type_ids = ledger.type_ids
+    want = type_ids.get(target)
     for a in range(py_end):
+        known = a < len(held)
+        if known and held[a] != want:
+            continue
         sigmas = []
         pi = tau1
         for j, (rep, memo) in enumerate(zip(reps, memos)):
@@ -431,40 +483,75 @@ def _random_hunt(
                 s = memo[i] = conjugate(rep, draws[i].tolist())
             sigmas.append(s)
             pi = tuple(map(pi.__getitem__, s))  # compose(pi, s)
-        if cycle_type(pi) == target and is_transitive([tau1, *sigmas], d):
+        if not known:
+            t = cycle_type(pi)
+            tid = type_ids.get(t)
+            if tid is None and len(type_ids) < 256:
+                tid = type_ids[t] = len(type_ids)
+            if tid is not None and a == len(held) and ledger.nbytes < _CACHE_BYTES:
+                held.append(tid)
+                ledger.nbytes += 1
+            if t != target:
+                continue
+        if is_transitive([tau1, *sigmas], d):
             budget.spend((a + 1) * m)
             return (tau1, *sigmas, inverse(pi))
     tau_arr = np.array(tau1, dtype=np.uint8)
     rep_arr = np.array(reps)[:, None]
     tfix = _target_fix_counts(target, d)
+    off = _HUNT_PY * (1 - d)  # numpy attempt a's row starts at byte off + a*d
     start = py_end
     while start < run:
         stop = min(run, start + min(max(start, 16), _HUNT_CHUNK))
-        k = stop - start
-        # the chunk's relabellings by middle class, row (j, a) the one of
-        # class j in attempt start + a, at flat position (j*k + a)*d
-        g = _draw_rows(d, stop * m)[start * m : stop * m].reshape(k, m, d).transpose(1, 0, 2)
-        base = np.arange(0, m * k * d, d).reshape(m, k, 1)
-        # sigma = g o rep o g^-1, that is sigma[g[x]] = g[rep[x]], kept as
-        # positions a*d + sigma(x) within the attempt's flat block
-        sig = np.empty(m * k * d, dtype=np.intp)
-        sig[base + g] = g.take(base + rep_arr)
-        sig = sig.reshape(m, k, d)
-        sig += base[0]
-        # pi = tau1 o sigma_0 o .. o sigma_{m-1}, composed from the right;
-        # tau1 last, at the points (positions mod d) the sigmas reach
-        pi = sig[m - 1]
-        for j in range(m - 2, -1, -1):
-            pi = sig[j].take(pi)
-        pi = tau_arr.take(pi % d)
+        draws = _draw_rows(d, stop * m)
+        # attempts start..lo-1 are read from the ledger, lo..stop-1 computed
+        end = (len(held) - off) // d
+        lo = min(max(start, end), stop)
+        pi = None
+        if lo < stop:
+            pi = _hunt_products(draws[lo * m : stop * m], tau_arr, rep_arr)
+            if lo == end and ledger.nbytes + pi.nbytes <= _CACHE_BYTES:
+                held += pi.tobytes()
+                ledger.nbytes += pi.nbytes
+        if lo > start:
+            # a copy of the bytes, so that held can still grow
+            old = np.frombuffer(held[off + start * d : off + lo * d], dtype=np.uint8)
+            old = old.reshape(lo - start, d)
+            pi = old if pi is None else np.concatenate([old, pi])
         for a in _fix_count_survivors(pi, tfix, d).tolist():
-            sigmas = list(map(tuple, (sig[:, a] - a * d).tolist()))
+            i = (start + a) * m
+            sigmas = [conjugate(rep, draws[i + j].tolist()) for j, rep in enumerate(reps)]
             if is_transitive([tau1, *sigmas], d):
                 budget.spend((start + a + 1) * m)
                 return (tau1, *sigmas, inverse(tuple(pi[a].tolist())))
         start = stop
     budget.spend(attempts * m)  # raises when the budget ran out first
     return None
+
+
+def _hunt_products(g: np.ndarray, tau_arr: np.ndarray, rep_arr: np.ndarray) -> np.ndarray:
+    """The products tau1 o sigma_1 o .. o sigma_m, as uint8 rows, of the
+    attempts whose relabellings are g, m consecutive draw rows each;
+    sigma_j = g_j o rep_j o g_j^-1, with rep_arr the representatives,
+    shape (m, 1, d)."""
+    m, d = len(rep_arr), g.shape[1]
+    k = len(g) // m
+    # the relabellings by middle class, row (j, a) the one of class j in
+    # attempt a, at flat position (j*k + a)*d
+    g = g.reshape(k, m, d).transpose(1, 0, 2)
+    base = np.arange(0, m * k * d, d).reshape(m, k, 1)
+    # sigma = g o rep o g^-1, that is sigma[g[x]] = g[rep[x]], kept as
+    # positions a*d + sigma(x) within the attempt's flat block
+    sig = np.empty(m * k * d, dtype=np.intp)
+    sig[base + g] = g.take(base + rep_arr)
+    sig = sig.reshape(m, k, d)
+    sig += base[0]
+    # pi = tau1 o sigma_0 o .. o sigma_{m-1}, composed from the right;
+    # tau1 last, at the points (positions mod d) the sigmas reach
+    pi = sig[m - 1]
+    for j in range(m - 2, -1, -1):
+        pi = sig[j].take(pi)
+    return tau_arr.take(pi % d)
 
 
 def _fix_count_survivors(comp: np.ndarray, tfix: list[int], d: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from hurwitz.core import (
     BranchDatum,
     Partition,
     check_compatibility,
+    covers_from_count,
     format_datum,
     parse_datum,
     partitions_of,
@@ -765,11 +766,49 @@ HUNTED = [
 ]
 
 
+def _targets(args):
+    """Every target type that makes a compatible datum with the anchor
+    and middle classes of a hunt, in partitions_of order."""
+    d, tau1, middle = args[:3]
+    out = []
+    for p in partitions_of(d):
+        if p.is_trivial:
+            continue
+        parts = [cycle_type_reference(tau1), *middle, p.parts]
+        covers = covers_from_count(SPHERE, len(parts), d, sum(map(len, parts)))
+        if any(check_compatibility(BranchDatum(c, SPHERE, d, parts)).compatible for c in covers):
+            out.append(p.parts)
+    return out
+
+
+@functools.cache
+def _reference_outcome(d, tau1, middle, target, attempts):
+    """reference_hunt's outcome without a budget limit."""
+    return _hunt_outcome(reference_hunt, (d, tau1, list(middle), target, attempts), 10**9)
+
+
+def _limited_reference(args, limit):
+    """reference_hunt's outcome at a budget limit, read off the unlimited
+    one: the reference spends an attempt's nodes before making it, so any
+    limit short of what the unlimited hunt spent runs out with the whole
+    limit spent."""
+    taus, nodes = _reference_outcome(args[0], args[1], tuple(args[2]), *args[3:])
+    return (taus, nodes) if limit >= nodes else ("out of budget", limit)
+
+
+def _held_attempts(ledger):
+    """The attempts the ledger holds, summed over its keys."""
+    d, py = ledger.part[0], realizer._HUNT_PY
+    return sum(len(b) if len(b) <= py else py + (len(b) - py) // d for b in ledger.values())
+
+
 class TestHunt:
     @pytest.fixture(autouse=True, params=[0, 32, 10**6])
     def python_attempts(self, request, monkeypatch):
-        # all attempts in numpy, the split of search, all in Python
+        # all attempts in numpy, the split of search, all in Python; a
+        # ledger is laid out for one _HUNT_PY, so each case starts afresh
         monkeypatch.setattr(realizer, "_HUNT_PY", request.param)
+        monkeypatch.setattr(realizer, "_ledgers", realizer._Ledger())
 
     @pytest.mark.parametrize("line, hit", HUNTED)
     def test_same_tuple_and_nodes_as_reference(self, line, hit):
@@ -782,6 +821,95 @@ class TestHunt:
         for limit in (0, spent - 1, spent, full - 1, 10**9):
             want = _hunt_outcome(reference_hunt, args, limit)
             assert _hunt_outcome(realizer._random_hunt, args, limit) == want, limit
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_ledger_changes_no_outcome(self, order):
+        # two keys of the slice (10, 1), each hunted at every target, the
+        # two keys' hunts interleaved, at the budget limits of the test above
+        keys = [_hunt_args(HUNTED[1][0]), _hunt_args(HUNTED[3][0])]
+        runs = []
+        for args in keys:
+            targets = _targets(args)
+            if order == "descending":
+                targets.reverse()
+            elif order == "shuffled":
+                random.Random(7).shuffle(targets)
+            runs.append([(*args[:3], t, args[4]) for t in targets])
+        assert [len(r) for r in runs] == [9, 14]
+        for hunt in itertools.chain.from_iterable(itertools.zip_longest(*runs)):
+            if hunt is None:
+                continue
+            spent = _limited_reference(hunt, 10**9)[1]
+            for limit in (0, spent - 1, spent, hunt[4] * len(hunt[2]) - 1, 10**9):
+                want = _limited_reference(hunt, limit)
+                assert _hunt_outcome(realizer._random_hunt, hunt, limit) == want, (hunt[3], limit)
+        assert realizer._ledgers.part == (10, 1) and len(realizer._ledgers) == 2
+
+
+class TestLedger:
+    @pytest.fixture(autouse=True)
+    def fresh_ledger(self, monkeypatch):
+        monkeypatch.setattr(realizer, "_ledgers", realizer._Ledger())
+
+    def test_another_slice_leaves_only_its_own_key(self):
+        first, other = _hunt_args(HUNTED[1][0]), _hunt_args(HUNTED[6][0])
+        for args in (first, _hunt_args(HUNTED[3][0])):
+            realizer._random_hunt(*args[:4], realizer._Budget(10**9), args[4])
+        assert len(realizer._ledgers) == 2
+        realizer._random_hunt(*other[:4], realizer._Budget(10**9), other[4])
+        ledger = realizer._ledgers
+        assert ledger.part == (9, 2) and list(ledger) == [(other[1], *other[2])]
+        assert ledger.nbytes == sum(map(len, ledger.values()))
+
+    @pytest.mark.parametrize("cap, full", [(0, (0, 0)), (20, (20, 20)), (4_000, (3_872, 2_048))])
+    def test_bytes_stay_under_the_cap(self, cap, full, monkeypatch):
+        # cap 20 stops inside the Python attempts, 4,000 inside the numpy
+        # ones, where the chunk that would pass it is not stored (full: the
+        # bytes each key ends with); every hunt still returns the reference
+        # outcome
+        monkeypatch.setattr(realizer, "_CACHE_BYTES", cap)
+        for line, nbytes in zip((HUNTED[2][0], HUNTED[6][0]), full):
+            args = _hunt_args(line)
+            for t in _targets(args):
+                hunt = (*args[:3], t, args[4])
+                want = _limited_reference(hunt, 10**9)
+                assert _hunt_outcome(realizer._random_hunt, hunt, 10**9) == want, t
+                ledger = realizer._ledgers
+                assert ledger.nbytes == sum(map(len, ledger.values())) <= cap
+            assert (ledger.nbytes, len(ledger)) == (nbytes, cap > 0)
+
+    def test_walks_of_degree_twelve_hold_few_attempts(self, monkeypatch):
+        # every compatible d = 12, n = 3 datum with a (3,3,3,3) point, one
+        # slice: the ledger ends holding each key's attempts up to the last
+        # one any of its hunts computed, whatever the order of the data
+        data = [
+            x for x in enumerate_compatible(12, [3])
+            if any(p.parts == (3, 3, 3, 3) for p in x.partitions)
+        ]
+        hunts, charged = [], []
+        hunt = realizer._random_hunt
+
+        def recorded(*args):
+            hunts.append(args[:4] + args[5:])
+            nodes = args[4].nodes
+            try:
+                return hunt(*args)
+            finally:
+                charged.append((args[4].nodes - nodes) // len(args[2]))
+
+        monkeypatch.setattr(realizer, "_random_hunt", recorded)
+        for datum in data:
+            classify(datum)
+        monkeypatch.setattr(realizer, "_random_hunt", hunt)
+        assert (len(data), len(hunts), sum(charged)) == (937, 884, 104_061)
+        ledger = realizer._ledgers
+        assert ledger.part == (12, 1) and len(ledger) == 69
+        assert _held_attempts(ledger) == 28_794
+        for order in (hunts[::-1], sorted(hunts, key=lambda h: (h[3], h[1]))):
+            monkeypatch.setattr(realizer, "_ledgers", realizer._Ledger())
+            for args in order:
+                realizer._random_hunt(*args[:4], realizer._Budget(10**9), args[4])
+            assert _held_attempts(realizer._ledgers) == 28_794
 
 
 class TestDrawTable:
@@ -823,6 +951,7 @@ class TestDrawTable:
         # the same types at other places in the attempts
         monkeypatch.setattr(realizer, "_draws", {})
         monkeypatch.setattr(realizer, "_conjugates", {})
+        monkeypatch.setattr(realizer, "_ledgers", realizer._Ledger())
         search(parse_datum(HUNTED[3][0]))
         for line in ("d=7 cover=O0 base=O0 parts=[5,1,1|4,1,1,1|3,1,1,1,1|3,1,1,1,1|2,1,1,1,1,1]",
                      "d=8 cover=O0 base=O0 parts=[8|5,1,1,1|3,1,1,1,1,1|2,1,1,1,1,1,1]"):
@@ -832,12 +961,21 @@ class TestDrawTable:
             realizer._draw_rows(d, 10_000)
         grown = []
         for line in lines:
+            # and the ledger filled by hunts of the same key at its other
+            # targets (the d = 7 key has none)
+            args = _hunt_args(line)
+            others = [t for t in _targets(args) if t != args[3]]
+            for t in others:
+                realizer._random_hunt(*args[:3], t, realizer._Budget(10**9), args[4])
+            assert bool(others) == ((args[1], *args[2]) in realizer._ledgers)
             res = search(parse_datum(line))
             grown.append(f"{res.status} {res.nodes} {res.realization.taus}")
         assert grown == fresh
 
     def test_memo_holds_the_python_attempts_only(self, monkeypatch):
         monkeypatch.setattr(realizer, "_conjugates", {})
+        # hunts whose attempts the ledger holds fill no memo
+        monkeypatch.setattr(realizer, "_ledgers", realizer._Ledger())
         # per type: the rows its Python attempts read, and its longest middle
         rows: dict[tuple[int, ...], set[int]] = {}
         most: dict[tuple[int, ...], int] = {}
