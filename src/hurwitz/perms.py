@@ -80,23 +80,7 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 
 def is_transitive(gens: Sequence[Perm], degree: int) -> bool:
     """Orbit closure of 0 under the generated group covers {0..d-1}."""
-    if degree <= 1:
-        return True
-    if not gens:
-        return False
-    seen = bytearray(degree)
-    seen[0] = 1
-    stack = [0]
-    found = 1
-    while stack:
-        x = stack.pop()
-        for g in gens:
-            y = g[x]
-            if not seen[y]:
-                seen[y] = 1
-                found += 1
-                stack.append(y)
-    return found == degree
+    return degree <= 1 or orbit_count(gens, degree) == 1
 
 
 def orbit_count(gens: Sequence[Perm], degree: int) -> int:

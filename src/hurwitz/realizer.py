@@ -68,29 +68,30 @@ most hunts hit; later ones in numpy chunks that conjugate and compose
 the whole chunk by flat gathers, drop rows by the fixed points of the
 product's powers 1..d//2 (they give the number of cycles of every
 length up to d/2, and at most one cycle is longer), and test
-transitivity on the survivors in attempt order.  Since the table is
-fixed, the Python attempts memoize their conjugates per cycle type t
-and row index i (_conjugates): a datum's hunt reuses what the hunts of
-other data with a class of type t built at row i.  Only the rows of the
-Python attempts, at most _HUNT_PY x len(middle) per hunt, are ever
-stored, so the memo holds at most that many entries per type.
+transitivity on the survivors in attempt order.
 
 The hunt's ledger.  Attempt a's product tau1 o sigma_1 o .. o sigma_m
-depends on the key (tau1, *middle) and the table, not on the target,
-so the hunts of one key at different targets share it: _ledgers holds,
-per key, attempts 0..n-1 as one bytearray, a cycle-type id per Python
+depends on the key (tau1, *middle) and the table, not on the target, so
+the hunts of one key at different targets share it: _ledgers holds, per
+key, attempts 0..n-1 as one bytearray, a cycle-type id per Python
 attempt and the product row per numpy attempt.  A hunt reads its
-attempts in the order and chunks it would compute them; a chunk the
-ledger holds skips conjugation and composition, and one past its end is
-computed and appended.  A held Python attempt is compared by its id,
-the cycle-type filter still runs chunk by chunk, and transitivity is
-tested only on attempts of the target type, on sigmas rebuilt from the
-table, and never stored: a catalog hunts each (key, target) once.  The ledger holds one (d, len(middle)) slice
-at a time, so a hunt of another slice starts it afresh, and at most
-_CACHE_BYTES bytes and 256 cycle types; past that, attempts are
-computed and not stored.  Classifying the 937 sphere d = 12, n = 3
-data with a (3,3,3,3) point runs 884 hunts that charge 104,061
-attempts, and the ledger ends holding 28,794.
+attempts in the order and chunks it would compute them.  A chunk the
+ledger holds whole skips conjugation and composition; any other is
+computed whole, and its part past the ledger's end is appended.  A held
+Python attempt is compared by its id, the cycle-type filter still runs
+chunk by chunk, and transitivity is tested only on attempts of the
+target type, on sigmas rebuilt from the table, and never stored: a
+catalog hunts each (key, target) once.  Since the table is fixed, the
+ledger also memoizes the Python attempts' conjugates per cycle type t
+and row index i, so a hunt reuses what the hunts of other keys with a
+class of type t built at row i.  The ledger holds one (d, len(middle))
+slice at a time, so a hunt of another slice starts it afresh, and at
+most 256 cycle types and _CACHE_BYTES bytes: sys.getsizeof of each key,
+of its bytearray when added and of each conjugate, and one per byte
+held.  What would pass that bound is computed and not stored.
+Classifying the 937 sphere d = 12, n = 3 data with a (3,3,3,3) point
+runs 884 hunts that charge 104,061 attempts, and the ledger ends holding
+28,794.
 
 Classes come from one numpy builder, _class_chunks, as uint8 image rows
 in class order, at most _CHUNK rows at a time, each block written
@@ -110,6 +111,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import prod
@@ -164,8 +166,8 @@ _HUNT_MAX = 40_000  # attempts of the longest hunt
 # (bench/run.py --seconds 10, one pair a workload, nodes identical)
 # catalog-d8n5 wall_s went 2.30/2.75 -> 3.33/3.47 s, item_ms_p50 0.076 ->
 # 0.118 ms on catalog-d10n3 and 0.117 -> 0.169 ms on walks-d12.  Without
-# the _conjugates memo catalog-d8n5 went 2.910 -> 3.245 s wall_s and
-# 0.0141 -> 0.0165 ms item_ms_p50 (4 pairs, 4 worse).
+# the ledger's conjugate memo catalog-d8n5 wall_s went 2.80 -> 2.97 s
+# (medians of 4 alternating pairs, 4 worse).
 _HUNT_PY = 32
 _HUNT_CHUNK = 4096  # most attempts per numpy chunk, so its arrays stay small
 
@@ -225,10 +227,6 @@ def verify_witness(datum: BranchDatum, realization: Realization) -> bool:
 # and the uint8 table of the draws so far, row i its i-th
 # random_permutation(d, rng)
 _draws: dict[int, tuple[random.Random, np.ndarray]] = {}
-# per cycle type t, so within one degree's draw table: row index i to
-# conjugate(class_representative(t), row i), for the rows that the
-# Python attempts read
-_conjugates: dict[tuple[int, ...], dict[int, Perm]] = {}
 
 
 class _Ledger(dict):
@@ -236,14 +234,25 @@ class _Ledger(dict):
     (tau1, *middle), one bytearray of its attempts 0..n-1.  Byte a <
     _HUNT_PY is the id of Python attempt a's product cycle type, and
     each d bytes from _HUNT_PY on are a numpy attempt's product row.
-    type_ids numbers the cycle types met, at most 256 of them, and
-    nbytes counts the bytes held."""
+    type_ids numbers the cycle types met, at most 256 of them;
+    conjugates maps cycle type t and draw row i to
+    conjugate(class_representative(t), row i), for rows the Python
+    attempts read; nbytes counts what the ledger holds (see the module
+    docstring)."""
 
     def __init__(self, part: tuple[int, int] | None = None):
         super().__init__()
         self.part = part
         self.type_ids: dict[tuple[int, ...], int] = {}
+        self.conjugates: dict[tuple[int, ...], dict[int, Perm]] = {}
         self.nbytes = 0
+
+    def charge(self, k: int) -> bool:
+        """Whether k more bytes fit under _CACHE_BYTES; counts them if so."""
+        if self.nbytes + k > _CACHE_BYTES:
+            return False
+        self.nbytes += k
+        return True
 
 
 # the hunt's ledger (see the module docstring)
@@ -463,11 +472,12 @@ def _random_hunt(
     held = ledger.get(key)
     if held is None:
         held = bytearray()
-        if run and ledger.nbytes < _CACHE_BYTES:
+        if run and ledger.charge(sys.getsizeof(key) + sys.getsizeof(held)):
             ledger[key] = held
+    keep = key in ledger  # whether what this hunt computes may be appended
     py_end = min(run, _HUNT_PY)
     draws = _draw_rows(d, py_end * m)
-    memos = [_conjugates.setdefault(t, {}) for t in middle]
+    memos = [ledger.conjugates.setdefault(t, {}) for t in middle]
     type_ids = ledger.type_ids
     want = type_ids.get(target)
     for a in range(py_end):
@@ -480,7 +490,9 @@ def _random_hunt(
             i = a * m + j
             s = memo.get(i)
             if s is None:
-                s = memo[i] = conjugate(rep, draws[i].tolist())
+                s = conjugate(rep, draws[i].tolist())
+                if ledger.charge(sys.getsizeof(s)):
+                    memo[i] = s
             sigmas.append(s)
             pi = tuple(map(pi.__getitem__, s))  # compose(pi, s)
         if not known:
@@ -488,9 +500,8 @@ def _random_hunt(
             tid = type_ids.get(t)
             if tid is None and len(type_ids) < 256:
                 tid = type_ids[t] = len(type_ids)
-            if tid is not None and a == len(held) and ledger.nbytes < _CACHE_BYTES:
+            if keep and tid is not None and a == len(held) and ledger.charge(1):
                 held.append(tid)
-                ledger.nbytes += 1
             if t != target:
                 continue
         if is_transitive([tau1, *sigmas], d):
@@ -504,20 +515,16 @@ def _random_hunt(
     while start < run:
         stop = min(run, start + min(max(start, 16), _HUNT_CHUNK))
         draws = _draw_rows(d, stop * m)
-        # attempts start..lo-1 are read from the ledger, lo..stop-1 computed
+        # numpy attempts _HUNT_PY..end-1 are held (none when end < _HUNT_PY)
         end = (len(held) - off) // d
-        lo = min(max(start, end), stop)
-        pi = None
-        if lo < stop:
-            pi = _hunt_products(draws[lo * m : stop * m], tau_arr, rep_arr)
-            if lo == end and ledger.nbytes + pi.nbytes <= _CACHE_BYTES:
-                held += pi.tobytes()
-                ledger.nbytes += pi.nbytes
-        if lo > start:
+        if stop <= end:
             # a copy of the bytes, so that held can still grow
-            old = np.frombuffer(held[off + start * d : off + lo * d], dtype=np.uint8)
-            old = old.reshape(lo - start, d)
-            pi = old if pi is None else np.concatenate([old, pi])
+            pi = np.frombuffer(held[off + start * d : off + stop * d], dtype=np.uint8)
+            pi = pi.reshape(-1, d)
+        else:
+            pi = _hunt_products(draws[start * m : stop * m], tau_arr, rep_arr)
+            if keep and start <= end and ledger.charge((stop - end) * d):
+                held += pi[end - start :].tobytes()
         for a in _fix_count_survivors(pi, tfix, d).tolist():
             i = (start + a) * m
             sigmas = [conjugate(rep, draws[i + j].tolist()) for j, rep in enumerate(reps)]

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hurwitz.perms import (
     centralizer_generators,
@@ -319,8 +319,12 @@ def test_product_folds_right_factor_first(ps):
         lambda d: st.tuples(st.just(d), st.lists(perm_of(d), max_size=4))
     )
 )
+@example((0, []))
+@example((1, []))
+@example((2, []))
 def test_orbit_count_as_the_union_find_reference(drawn):
     d, gens = drawn
     gens = [tuple(g) for g in gens]
     assert orbit_count(gens, d) == orbit_count_reference(gens, d)
-    assert is_transitive(gens, d) == (orbit_count(gens, d) <= 1)
+    # degrees 0 and 1 are transitive whatever the generators, none included
+    assert is_transitive(gens, d) == (d <= 1 or orbit_count_reference(gens, d) == 1)

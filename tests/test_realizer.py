@@ -796,6 +796,18 @@ def _limited_reference(args, limit):
     return (taus, nodes) if limit >= nodes else ("out of budget", limit)
 
 
+def _charged(ledger):
+    """What the ledger should count: sys.getsizeof of each key, of an
+    empty bytearray per key and of each memoised conjugate, and the bytes
+    held."""
+    keys = sum(sys.getsizeof(k) + sys.getsizeof(bytearray()) + len(v) for k, v in ledger.items())
+    return keys + sum(map(sys.getsizeof, _memoised(ledger)))
+
+
+def _memoised(ledger):
+    return [s for memo in ledger.conjugates.values() for s in memo.values()]
+
+
 def _held_attempts(ledger):
     """The attempts the ledger holds, summed over its keys."""
     d, py = ledger.part[0], realizer._HUNT_PY
@@ -859,24 +871,53 @@ class TestLedger:
         realizer._random_hunt(*other[:4], realizer._Budget(10**9), other[4])
         ledger = realizer._ledgers
         assert ledger.part == (9, 2) and list(ledger) == [(other[1], *other[2])]
-        assert ledger.nbytes == sum(map(len, ledger.values()))
+        # the conjugates went with the slice too
+        assert list(ledger.conjugates) == [(5, 1, 1, 1, 1)]
+        assert ledger.nbytes == _charged(ledger) == 9_336
 
-    @pytest.mark.parametrize("cap, full", [(0, (0, 0)), (20, (20, 20)), (4_000, (3_872, 2_048))])
+    @pytest.mark.parametrize(
+        "cap, full",
+        [
+            (0, ((0, 0), (0, 0))),
+            (20, ((0, 0), (0, 0))),
+            (4_000, ((4_000, 1), (3_960, 1))),
+            (16_000, ((13_984, 1), (11_640, 1))),
+        ],
+    )
     def test_bytes_stay_under_the_cap(self, cap, full, monkeypatch):
-        # cap 20 stops inside the Python attempts, 4,000 inside the numpy
-        # ones, where the chunk that would pass it is not stored (full: the
-        # bytes each key ends with); every hunt still returns the reference
-        # outcome
+        # cap 20 holds not even a key; 4,000 stops inside the Python
+        # attempts, most of it taken by their conjugates; 16,000 inside the
+        # numpy ones of the first key, where the chunk that would pass it is
+        # not stored, and above all of the second (full: the bytes counted
+        # and the keys held after each key's hunts); every hunt still
+        # returns the reference outcome
         monkeypatch.setattr(realizer, "_CACHE_BYTES", cap)
-        for line, nbytes in zip((HUNTED[2][0], HUNTED[6][0]), full):
+        for line, kept in zip((HUNTED[2][0], HUNTED[6][0]), full):
             args = _hunt_args(line)
             for t in _targets(args):
                 hunt = (*args[:3], t, args[4])
                 want = _limited_reference(hunt, 10**9)
                 assert _hunt_outcome(realizer._random_hunt, hunt, 10**9) == want, t
                 ledger = realizer._ledgers
-                assert ledger.nbytes == sum(map(len, ledger.values())) <= cap
-            assert (ledger.nbytes, len(ledger)) == (nbytes, cap > 0)
+                assert ledger.nbytes == _charged(ledger) <= cap
+            assert (ledger.nbytes, len(ledger)) == kept
+
+    def test_many_short_keys_count_their_objects(self, monkeypatch):
+        # every key of the slice (8, 2), hunted three attempts deep, so that
+        # each holds at most three bytes: the objects, not the bytes, fill the cap
+        monkeypatch.setattr(realizer, "_CACHE_BYTES", 20_000)
+        keys = {}
+        for datum in enumerate_compatible(8, [4]):
+            args = _hunt_args(format_datum(datum))
+            keys.setdefault((args[1], *args[2]), (*args[:4], 3))
+        for hunt in keys.values():
+            want = _hunt_outcome(reference_hunt, hunt, 10**9)
+            assert _hunt_outcome(realizer._random_hunt, hunt, 10**9) == want
+        ledger = realizer._ledgers
+        assert ledger.part == (8, 2) and 0 < len(ledger) < len(keys)
+        assert all(len(held) <= 3 for held in ledger.values())
+        objects = sum(sys.getsizeof(k) + len(v) for k, v in ledger.items())
+        assert objects + sum(map(sys.getsizeof, _memoised(ledger))) <= ledger.nbytes <= 20_000
 
     def test_walks_of_degree_twelve_hold_few_attempts(self, monkeypatch):
         # every compatible d = 12, n = 3 datum with a (3,3,3,3) point, one
@@ -946,53 +987,50 @@ class TestDrawTable:
             [sys.executable, "-c", code, *lines], check=True, capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src},
         ).stdout.splitlines()
-        # every degree's table grown by other data first, past these hunts,
-        # and the conjugate memo filled by hunts of other data, some of
-        # the same types at other places in the attempts
+        # every degree's table grown by other data first, past these hunts
         monkeypatch.setattr(realizer, "_draws", {})
-        monkeypatch.setattr(realizer, "_conjugates", {})
         monkeypatch.setattr(realizer, "_ledgers", realizer._Ledger())
         search(parse_datum(HUNTED[3][0]))
-        for line in ("d=7 cover=O0 base=O0 parts=[5,1,1|4,1,1,1|3,1,1,1,1|3,1,1,1,1|2,1,1,1,1,1]",
-                     "d=8 cover=O0 base=O0 parts=[8|5,1,1,1|3,1,1,1,1,1|2,1,1,1,1,1,1]"):
-            search(parse_datum(line))
-        assert realizer._conjugates[4, 1, 1, 1] and realizer._conjugates[3, 1, 1, 1, 1, 1]
-        for d in (7, 8, 10):
+        for d in (7, 8, 9, 10, 11, 12):
             realizer._draw_rows(d, 10_000)
         grown = []
         for line in lines:
-            # and the ledger filled by hunts of the same key at its other
+            # the slice's conjugate memo filled by the hunt of another key,
+            # the identity's, with the middle types at other places in the
+            # attempts, and the ledger by hunts of the same key at its other
             # targets (the d = 7 key has none)
-            args = _hunt_args(line)
-            others = [t for t in _targets(args) if t != args[3]]
+            d, tau1, middle, target, attempts = _hunt_args(line)
+            turned = middle[1:] + middle[:1]
+            realizer._random_hunt(d, tuple(range(d)), turned, target, realizer._Budget(10**9), 50)
+            assert all(realizer._ledgers.conjugates[t] for t in middle)
+            others = [t for t in _targets((d, tau1, middle)) if t != target]
             for t in others:
-                realizer._random_hunt(*args[:3], t, realizer._Budget(10**9), args[4])
-            assert bool(others) == ((args[1], *args[2]) in realizer._ledgers)
+                realizer._random_hunt(d, tau1, middle, t, realizer._Budget(10**9), attempts)
+            assert bool(others) == ((tau1, *middle) in realizer._ledgers)
             res = search(parse_datum(line))
             grown.append(f"{res.status} {res.nodes} {res.realization.taus}")
         assert grown == fresh
 
     def test_memo_holds_the_python_attempts_only(self, monkeypatch):
-        monkeypatch.setattr(realizer, "_conjugates", {})
         # hunts whose attempts the ledger holds fill no memo
         monkeypatch.setattr(realizer, "_ledgers", realizer._Ledger())
-        # per type: the rows its Python attempts read, and its longest middle
-        rows: dict[tuple[int, ...], set[int]] = {}
-        most: dict[tuple[int, ...], int] = {}
         for line, _ in HUNTED:
-            args = _hunt_args(line)
-            realizer._random_hunt(*args[:4], realizer._Budget(10**9), args[4])
-            m = len(args[2])
-            for j, t in enumerate(args[2]):
+            d, tau1, middle, target, attempts = _hunt_args(line)
+            realizer._random_hunt(d, tau1, middle, target, realizer._Budget(10**9), attempts)
+            # consecutive lines are of different slices, so the memo holds
+            # this hunt's types only, at the rows its Python attempts read
+            m = len(middle)
+            assert realizer._ledgers.part == (d, m)
+            rows: dict[tuple[int, ...], set[int]] = {}
+            for j, t in enumerate(middle):
                 rows.setdefault(t, set()).update(range(j, realizer._HUNT_PY * m, m))
-                most[t] = max(most.get(t, 0), m)
-        memo = realizer._conjugates
-        assert memo.keys() == rows.keys()
-        for t, sigmas in memo.items():
-            assert len(sigmas) <= realizer._HUNT_PY * most[t] and sigmas.keys() <= rows[t]
-            table = realizer._draws[sum(t)][1]
-            for i, sigma in sigmas.items():
-                assert sigma == conjugate(class_representative(t), tuple(table[i].tolist()))
+            memo = realizer._ledgers.conjugates
+            assert memo.keys() == rows.keys()
+            table = realizer._draws[d][1]
+            for t, sigmas in memo.items():
+                assert sigmas.keys() <= rows[t]
+                for i, sigma in sigmas.items():
+                    assert sigma == conjugate(class_representative(t), tuple(table[i].tolist()))
 
 
 def test_catalog_does_not_import_scipy():
