@@ -100,11 +100,15 @@ stabilizer-least rows come from perms.class_rows, read point by point
 in Python, in chunks of the same bound.  A class is cached per cycle
 type as one array when it takes at most _CACHE_BYTES (16 MiB, that is
 class size times degree bytes); orbit reduction, at every degree up to
-256, selects rows of that array.  Both tables, per type and per
-(anchor, type), are unbounded lru_caches.  A larger class, and the
-stabilizer-least rows of a second class above _REDUCTION_LIMIT, are
-streamed chunk by chunk on every visit.  A witness is checked by
-verify_witness before it is returned, also under ``python -O``.
+256, sorts that array's rows by their bytes and selects rows of it.
+Both tables, per type and per (anchor, type), are unbounded lru_caches.
+A larger class, and the stabilizer-least rows of a second class above
+_REDUCTION_LIMIT, are streamed chunk by chunk on every visit.  The last
+level reads every table or stream in numpy chunks, keeps the rows whose
+product with pi has the target type by the fixed points of its powers,
+as the hunt's chunks do, and tests transitivity on them in row order.
+A witness is checked by verify_witness before it is returned, also
+under ``python -O``.
 """
 
 from __future__ import annotations
@@ -149,15 +153,6 @@ DEFAULT_BUDGET = 10**9
 _REDUCTION_LIMIT = 200_000  # max class size for centralizer-orbit reduction
 _CACHE_BYTES = 16 << 20     # max bytes of a cached class table, and of the hunt's ledger
 _RANDOM_TRIGGER = 20_000    # remaining-space size that switches the hunt on
-# Tables shorter than this are scanned in Python, longer ones and streams
-# in numpy.  No workload scans such a table (seed 1): catalog-d8n5 and
-# catalog-d10n3 make 889 and 1,125 Python scans of at most 828 and 2,508
-# rows, walks-d12 13 numpy scans of streams; only tests (TestScans, and
-# numpy_min 0 in TestStreamedClasses) scan a table in numpy.  Scan time,
-# numpy for all against this split: 0.07-0.10 vs 0.06-0.09 s on
-# catalog-d8n5, 0.19-0.21 vs 0.17-0.20 s on catalog-d10n3; Python for
-# all on walks-d12: 0.12-0.13 vs 0.05-0.08 s (three runs each, 2 vCPUs).
-_NUMPY_MIN = 20_000
 _CHUNK = 50_000
 _SEED = 0x5EED
 _HUNT_MAX = 40_000  # attempts of the longest hunt
@@ -342,21 +337,24 @@ def _anchored_reps(anchor: tuple[int, ...], t: tuple[int, ...]) -> np.ndarray:
 def _orbit_firsts_vectorized(cls: np.ndarray, zgens: list[Perm], d: int) -> list[int]:
     """Row indices of the first element of each orbit, ascending.
 
-    Rows are packed into int64 keys of one or more words (_row_keys),
-    so each conjugation becomes an index map on the class.  Every row's
+    Rows are sorted by their own bytes (lexsort over one contiguous copy
+    of the table's columns), and so are their conjugates by each
+    generator z, whose column z[x] is z applied to column x; since
+    conjugation permutes the class, both sorts give the same sequence,
+    and each conjugation becomes an index map on the class.  Every row's
     label starts as its own index and takes the minimum with the labels
     of its images under the maps, with pointer jumping, until nothing
     changes.  Each map permutes the rows of an orbit in cycles, so the
     labels are then constant on orbits, and a row keeps its own index
     exactly when it is its orbit's first."""
     n = len(cls)
-    keys = _row_keys(cls, d)
-    order = _key_order(keys)
+    cols = np.ascontiguousarray(cls.T)
+    order = np.lexsort(cols[::-1])
     maps = []
     for z in zgens:
-        # conjugation permutes the class, so the conjugates' keys sort
-        # into the same sequence as the rows' own
-        conj_order = _key_order(_row_keys(cls, d, z))
+        z_arr = np.array(z, dtype=np.uint8)
+        # column y of the conjugates is z applied to column z^-1(y)
+        conj_order = np.lexsort([z_arr.take(cols[x]) for x in reversed(inverse(z))])
         m = np.empty(n, dtype=np.intp)
         m[conj_order] = order
         maps.append(m)
@@ -369,25 +367,6 @@ def _orbit_firsts_vectorized(cls: np.ndarray, zgens: list[Perm], d: int) -> list
         if np.array_equal(label, prev):
             break
     return np.flatnonzero(label == np.arange(n)).tolist()
-
-
-def _row_keys(rows: np.ndarray, d: int, z: Perm | None = None) -> np.ndarray:
-    """The base-d digits of each row packed into int64 words, shape
-    (words, rows); with z, those of z o row o z^-1, whose digit at z[x]
-    is z[row[x]], read off the rows without building the conjugates.  A
-    digit is below 2^b, b = (d - 1).bit_length(), so a word of 63 // b
-    digits stays non-negative: one word up to d = 15."""
-    per_word = 63 // (d - 1).bit_length()
-    keys = np.zeros((-(-d // per_word), len(rows)), dtype=np.int64)
-    digits = np.array(range(d) if z is None else z, dtype=np.int64)
-    for x, c in enumerate(digits.tolist()):
-        keys[c // per_word] += (digits * d ** (c % per_word)).take(rows[:, x])
-    return keys
-
-
-def _key_order(keys: np.ndarray) -> np.ndarray:
-    # on one word argsort is faster: 5.7 against 15.9 ms on 151,200 keys
-    return np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
 
 
 def _orbit_firsts_hashed(cls: np.ndarray, zgens: list[Perm]) -> list[int]:
@@ -610,6 +589,9 @@ def _row_chunks(source) -> Iterator[np.ndarray]:
 
 
 def _scan_python(source, pi, target, gens, budget, d):
+    """What _scan_numpy does, with each row's product type read in
+    Python: the tests' reference; search does not call it."""
+
     def survivors(chunk):  # pi o sigma of the target type, row by row
         for h, sigma in enumerate(chunk.tolist()):
             if cycle_type(tuple(map(pi.__getitem__, sigma))) == target:
@@ -716,11 +698,7 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
         def walk(j: int, pi: Perm, gens: tuple[Perm, ...]) -> None:
             source = plan[j]
             if j == last:
-                # streamed entries exceed _NUMPY_MIN rows: _REDUCTION_LIMIT
-                # at level 0, _CACHE_BYTES / d >= 65,536 at a later level
-                short = isinstance(source, np.ndarray) and len(source) < _NUMPY_MIN
-                scan = _scan_python if short else _scan_numpy
-                scan(source, pi, target, gens, bud, d)
+                _scan_numpy(source, pi, target, gens, bud, d)
                 return
             for chunk in _row_chunks(source):
                 for sigma in map(tuple, chunk.tolist()):

@@ -33,7 +33,6 @@ from hurwitz.perms import (
     class_rows,
     class_size,
     conjugate,
-    inverse,
     parse_cycles,
     random_permutation,
 )
@@ -465,7 +464,7 @@ class TestClassTable:
             for anchor in (p.parts for p in partitions_of(d))
             for t in (p.parts for p in partitions_of(d))
         ]
-        # from d = 16 on a key takes two int64 words
+        # and the classes of at most 20,000 rows at d = 16, 17
         for d in (16, 17):
             anchors = [(d,), (d - d // 2, d // 2), (4, 4, 4, 4) + (1,) * (d - 16),
                        (7, 3, 2, 2) + (1,) * (d - 14)]
@@ -477,9 +476,6 @@ class TestClassTable:
             if not zgens:
                 continue
             table = realizer._class_table(t)
-            keys = realizer._row_keys(table, sum(t))
-            # no word overflows, and no two rows share a key
-            assert keys.min() >= 0 and np.unique(keys, axis=1).shape[1] == len(table)
             firsts = realizer._orbit_firsts_vectorized(table, zgens, sum(t))
             assert firsts == realizer._orbit_firsts_hashed(table, zgens), (anchor, t)
             # the orbits depend on the group alone, not on its generators
@@ -502,19 +498,21 @@ class TestClassTable:
             realizer._anchored_reps(anchor, t)
 
     def test_conjugate_keys_read_off_the_table(self):
+        # the conjugates' sort keys are read off the table's columns:
+        # orbits under one arbitrary z, not a centralizer element, at
+        # every degree
         rng = random.Random(5)
         types = [t for t in TYPES_TO_9 if sum(t) >= 2]
-        # from d = 16 on a key takes two int64 words
         types += [p.parts for d in (16, 17) for p in partitions_of(d)
                   if class_size(p.parts) <= 20_000]
+        types.append((2,) + (1,) * 38)
         for t in types:
             d = sum(t)
             table = realizer._class_table(t)
             for _ in range(3):
                 z = random_permutation(d, rng)
-                conjugates = np.array(z, dtype=np.uint8)[table[:, inverse(z)]]
-                want = realizer._row_keys(conjugates, d)
-                assert np.array_equal(realizer._row_keys(table, d, z), want), (t, z)
+                firsts = realizer._orbit_firsts_vectorized(table, [z], d)
+                assert firsts == realizer._orbit_firsts_hashed(table, [z]), (t, z)
 
 
 def _last_level(line):
@@ -633,9 +631,13 @@ class TestStreamedClasses:
     @pytest.fixture(autouse=True)
     def no_class_iterator(self, monkeypatch):
         # the search never reads a whole class in Python: only the
-        # stabilizer-least rows of an anchor
+        # stabilizer-least rows of an anchor; and it filters every last
+        # level in numpy
         def refuse(t):
             raise AssertionError("the search called class_iterator")
+
+        def refuse_scan(*args):
+            raise AssertionError("the search called _scan_python")
 
         def anchored_only(t, anchor, chunk):
             if anchor is None:
@@ -644,6 +646,12 @@ class TestStreamedClasses:
 
         monkeypatch.setattr(realizer, "class_iterator", refuse)
         monkeypatch.setattr(realizer, "class_rows", anchored_only)
+        monkeypatch.setattr(realizer, "_scan_python", refuse_scan)
+
+    def test_every_last_level_in_numpy(self):
+        # tables of every length, the short ones included
+        data = [datum for d in range(2, 8) for datum in enumerate_compatible(d, range(5))]
+        assert all(search(datum).status in (FOUND, EXHAUSTED) for datum in data)
 
     @pytest.mark.parametrize(
         "line, nodes",
@@ -705,23 +713,21 @@ class TestStreamedClasses:
             assert search(datum, budget=limit).status == BUDGET_EXCEEDED, limit
 
     # a lower limit moves level 0 from the orbit representatives to the
-    # stabilizer-least rows on most data; numpy_min 0 scans in numpy
+    # stabilizer-least rows on most data
     @pytest.mark.parametrize(
-        "n, top, limit, numpy_min, runs",
+        "n, top, limit, runs",
         [
-            (3, 8, 20, realizer._NUMPY_MIN, 651),
-            (3, 8, 400, realizer._NUMPY_MIN, 547),
-            (3, 8, 400, 0, 547),
-            (4, 6, 20, realizer._NUMPY_MIN, 280),
+            (3, 8, 20, 651),
+            (3, 8, 400, 547),
+            (4, 6, 20, 280),
         ],
     )
-    def test_agrees_with_orbit_reps(self, monkeypatch, n, top, limit, numpy_min, runs):
+    def test_agrees_with_orbit_reps(self, monkeypatch, n, top, limit, runs):
         # n-point data of degree 3..top: same status and same first
         # witness as the orbit representatives; only the nodes may differ
         data = [x for d in range(3, top + 1) for x in enumerate_compatible(d, [n])]
         want = [search(datum) for datum in data]
         monkeypatch.setattr(realizer, "_REDUCTION_LIMIT", limit)
-        monkeypatch.setattr(realizer, "_NUMPY_MIN", numpy_min)
         calls = []
         stabilizer_least = realizer._stabilizer_least
         monkeypatch.setattr(
