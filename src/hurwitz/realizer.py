@@ -19,9 +19,6 @@ Pruning, all of it certificate-preserving:
   under conjugation by the centralizer C of the anchored tau_1 when the
   class has at most _REDUCTION_LIMIT elements, and over the class's
   stabilizer-least rows (below) when it has more;
-* a partial product pi must stay within transposition distance of what
-  the remaining classes can still contribute; sign is a homomorphism
-  and compatibility condition 2 makes the parity always match;
 * the orbits of the placed generators, counted on the generators
   themselves with no partition carried from node to node, must be
   mergeable into one orbit by the cycles the remaining enumerated
@@ -331,10 +328,10 @@ def _anchored_reps(anchor: tuple[int, ...], t: tuple[int, ...]) -> np.ndarray:
     if any(conjugate(rep, z) != rep for z in zgens):
         raise RuntimeError("a generator is outside the anchor's centralizer")
     cls = _class_table(t)
-    return cls[_orbit_firsts_vectorized(cls, zgens, sum(t))]
+    return cls[_orbit_firsts_vectorized(cls, zgens)]
 
 
-def _orbit_firsts_vectorized(cls: np.ndarray, zgens: list[Perm], d: int) -> list[int]:
+def _orbit_firsts_vectorized(cls: np.ndarray, zgens: list[Perm]) -> list[int]:
     """Row indices of the first element of each orbit, ascending.
 
     Rows are sorted by their own bytes (lexsort over one contiguous copy
@@ -572,20 +569,15 @@ def _fix_count_survivors(comp: np.ndarray, tfix: list[int], d: int) -> np.ndarra
 
 
 def _row_chunks(source) -> Iterator[np.ndarray]:
-    """The rows of a plan entry, at most _CHUNK at a time.  A table is
-    sliced in chunks that start small and double, so a scan that stops
-    early touches few rows; any other entry is a chunk stream (a class
-    by _class_chunks, or stabilizer-least rows by _stabilizer_least),
+    """The rows of a plan entry, at most _CHUNK at a time: a table is
+    sliced, and any other entry is a chunk stream (a class by
+    _class_chunks, or stabilizer-least rows by _stabilizer_least),
     called afresh on each visit."""
     if not isinstance(source, np.ndarray):
         yield from source()
         return
-    start, size = 0, 16
-    while start < len(source):
-        size = min(size, _CHUNK)
-        yield source[start : start + size]
-        start += size
-        size *= 2
+    for start in range(0, len(source), _CHUNK):
+        yield source[start : start + _CHUNK]
 
 
 def _scan_python(source, pi, target, gens, budget, d):
@@ -690,8 +682,6 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
         suffix_merge = [0] * (len(middle) + 1)
         for j in range(len(middle) - 1, -1, -1):
             suffix_merge[j] = suffix_merge[j + 1] + merge_left[j]
-        # transposition capacity includes the forced last permutation
-        suffix_trans = [x + (d - len(target)) for x in suffix_merge]
 
         last = len(middle) - 1
 
@@ -703,12 +693,9 @@ def search(datum: BranchDatum, budget: int = DEFAULT_BUDGET) -> SearchResult:
             for chunk in _row_chunks(source):
                 for sigma in map(tuple, chunk.tolist()):
                     bud.spend(1)
-                    pi2 = compose(pi, sigma)
-                    if d - orbit_count((pi2,), d) > suffix_trans[j + 1]:
-                        continue
                     if orbit_count((*gens, sigma), d) - 1 > suffix_merge[j + 1]:
                         continue
-                    walk(j + 1, pi2, (*gens, sigma))
+                    walk(j + 1, compose(pi, sigma), (*gens, sigma))
 
         walk(0, tau1, (tau1,))
     except _OutOfBudget:

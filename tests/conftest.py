@@ -97,6 +97,29 @@ def naive_search_n3(datum: BranchDatum) -> bool:
     return False
 
 
+def naive_search_n4(datum: BranchDatum) -> bool:
+    """Reference decision for n=4 sphere data: first permutation fixed to
+    the canonical representative of the smallest class, second and third
+    ranging over their full conjugacy classes, the fourth forced as the
+    inverse of their product, no pruning of any kind."""
+    d = datum.degree
+    types = sorted(
+        (p.parts for p in datum.partitions), key=lambda t: (perms.class_size(t), t)
+    )
+    t1, t2, t3, t4 = types
+    tau1 = perms.class_representative(t1)
+    for tau2 in perms.class_iterator(t2):
+        head = perms.compose(tau1, tau2)
+        for tau3 in perms.class_iterator(t3):
+            # the fourth permutation is the inverse of this product, of
+            # the same cycle type, and lies in the group of the other three
+            if cycle_type_reference(perms.compose(head, tau3)) != t4:
+                continue
+            if perms.is_transitive([tau1, tau2, tau3], d):
+                return True
+    return False
+
+
 def naive_search_n3_unanchored(datum: BranchDatum) -> bool:
     """Like naive_search_n3 but with the first permutation also ranging
     over its whole class; checks that anchoring loses nothing."""

@@ -50,6 +50,7 @@ from conftest import (
     cycle_type_reference,
     naive_search_n3,
     naive_search_n3_unanchored,
+    naive_search_n4,
     reference_hunt,
     sphere_datum,
 )
@@ -174,6 +175,22 @@ class TestAgainstNaiveOracle:
                 checked += 1
         assert checked > 200
 
+    def test_four_point_data_up_to_degree_seven(self, monkeypatch):
+        # with the hunt off, the walk decides every datum: one interior
+        # level, with its merge prune, above the last-level scan
+        monkeypatch.setattr(realizer, "_RANDOM_TRIGGER", 10**30)
+        data = [x for d in range(2, 8) for x in enumerate_compatible(d, [4])]
+        exhausted = 0
+        for datum in data:
+            res = search(datum)
+            if naive_search_n4(datum):
+                assert res.status == FOUND, format_datum(datum)
+                assert verify_witness(datum, res.realization), format_datum(datum)
+            else:
+                assert res.status == EXHAUSTED, format_datum(datum)
+                exhausted += 1
+        assert (len(data), exhausted) == (1_481, 4)
+
     def test_anchoring_loses_nothing_up_to_degree_six(self):
         for d in range(3, 7):
             for datum in enumerate_compatible(d, [3], SPHERE, SPHERE):
@@ -254,16 +271,16 @@ class TestBudget:
         assert classify(datum, 1).kind == UNKNOWN
 
 
-class TestTranspositionPrune:
-    def test_pruned_walk_pinned(self, monkeypatch):
-        # with the hunt off, the walk prunes 216 partial products that
-        # need more transpositions than the remaining classes hold
+class TestHuntOffWalk:
+    def test_first_witness_pinned(self, monkeypatch):
+        # with the hunt off, the walk alone decides a six-point datum:
+        # three interior levels above the last-level scan
         monkeypatch.setattr(realizer, "_RANDOM_TRIGGER", 10**30)
         datum = parse_datum(
             "d=7 cover=O0 base=O0 parts=[3,1,1,1,1|2,2,1,1,1|2,2,1,1,1|2,2,1,1,1|2,2,1,1,1|2,2,1,1,1]"
         )
         res = search(datum)
-        assert (res.status, res.nodes) == (FOUND, 101_404)
+        assert (res.status, res.nodes) == (FOUND, 124_084)
         assert res.realization.taus == (
             (1, 2, 0, 3, 4, 5, 6),
             (1, 0, 3, 2, 4, 5, 6),
@@ -476,11 +493,11 @@ class TestClassTable:
             if not zgens:
                 continue
             table = realizer._class_table(t)
-            firsts = realizer._orbit_firsts_vectorized(table, zgens, sum(t))
+            firsts = realizer._orbit_firsts_vectorized(table, zgens)
             assert firsts == realizer._orbit_firsts_hashed(table, zgens), (anchor, t)
             # the orbits depend on the group alone, not on its generators
             wider = centralizer_generators_reference(anchor)
-            assert firsts == realizer._orbit_firsts_vectorized(table, wider, sum(t)), (anchor, t)
+            assert firsts == realizer._orbit_firsts_vectorized(table, wider), (anchor, t)
             checked += 1
         assert checked == 473
 
@@ -490,8 +507,8 @@ class TestClassTable:
         zgens = centralizer_generators(anchor)
         table = realizer._class_table(t)
         # the orbit reduction alone cannot tell: the rogue merges orbits
-        assert len(realizer._orbit_firsts_vectorized(table, zgens, 6)) == 4
-        assert len(realizer._orbit_firsts_vectorized(table, zgens + [rogue], 6)) == 3
+        assert len(realizer._orbit_firsts_vectorized(table, zgens)) == 4
+        assert len(realizer._orbit_firsts_vectorized(table, zgens + [rogue])) == 3
         realizer._anchored_reps.cache_clear()
         monkeypatch.setattr(realizer, "centralizer_generators", lambda a: zgens + [rogue])
         with pytest.raises(RuntimeError, match="centralizer"):
@@ -511,7 +528,7 @@ class TestClassTable:
             table = realizer._class_table(t)
             for _ in range(3):
                 z = random_permutation(d, rng)
-                firsts = realizer._orbit_firsts_vectorized(table, [z], d)
+                firsts = realizer._orbit_firsts_vectorized(table, [z])
                 assert firsts == realizer._orbit_firsts_hashed(table, [z]), (t, z)
 
 
@@ -561,8 +578,8 @@ class TestScans:
 
     @pytest.fixture(autouse=True, params=[7, realizer._CHUNK])
     def chunk(self, request, monkeypatch):
-        # with 7, every class spans many small chunks; with the default,
-        # the growing chunks of a table are crossed
+        # with 7, tables and streams span many chunks; with the default,
+        # each table is one chunk
         monkeypatch.setattr(realizer, "_CHUNK", request.param)
 
     def test_same_witness_and_nodes(self):
